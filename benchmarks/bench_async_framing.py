@@ -1,38 +1,37 @@
-"""A/B the async binary-framed RPC engine against the JSON-threaded one.
+"""A/B the two RPC clients against the one async Grid Buffer server.
 
 Three experiments, all over real TCP on localhost:
 
 * **small-op sweep (0 ms and 5 ms)** — concurrent 4 KiB ``gb.write``
   calls at 1/16/64 in-flight requests, each arm driven the way that
-  stack is built to be driven.  Arm *legacy*: the threaded JSON-only
-  server (``GridBufferServer(engine="threaded")``) under a pooled sync
-  client — one pooled connection and one OS thread per in-flight op,
-  which is the old stack's only concurrency model.  Arm *async*: the
-  event-loop server with native coroutine handlers under ONE
-  ``AsyncRpcClient`` that pipelines every in-flight op over a single
-  negotiated-binary connection (strict FIFO replies make this safe).
-  Small ops are where per-op threads, per-frame syscalls and header
-  serialisation dominate, so this isolates exactly what the PR
-  changed.  Cells are medians over alternating trials — the CI box is
-  a single core and single runs swing +-30%.
+  client is built to be driven.  Arm *sync*: the pooled blocking
+  ``RpcClient`` every service client uses — one pooled connection and
+  one OS thread per in-flight op.  Arm *async*: ONE ``AsyncRpcClient``
+  that pipelines every in-flight op over a single connection (strict
+  FIFO replies make this safe).  Both arms talk to the same server and
+  send the same frames (binary, CRC trailer), so the sweep isolates
+  the client concurrency model.  Cells are medians over alternating
+  trials — single runs on a small box swing +-30%.  The depth-1 cells
+  are also reported as microseconds per call.
 * **streaming at 5 ms** — one writer streams 256 KiB to one read-ahead
-  reader per arm, showing the engines converge once payload bytes (and
-  injected latency) dominate the frame overhead.
+  reader through ``GridBufferClient`` (the sync arm's client), the
+  path mode 6 of the workflow uses.
 * **reader fan-in** — N readers (512 full / 128 quick) all issue a
-  blocking ``gb.read`` on one async loop *before* any byte exists.
-  With the threaded engine that would park one server thread each; the
-  async engine must hold the process thread count flat while all N
-  wait, then deliver everyone from a single write.
+  blocking ``gb.read`` on one async loop *before* any byte exists.  A
+  thread-per-connection server would park one thread each; the async
+  server must hold the process thread count flat while all N wait,
+  then deliver everyone from a single write.
 
-Acceptance (full mode): async+binary >= 2x legacy ops/s at 0 ms at the
-top pipeline width (64 in-flight ops — the regime this PR targets; the
-JSON shows per-width ratios so the scaling story stays visible), and
-the fan-in run completes with a flat server thread count.  ``--quick``
-(the CI smoke mode) shrinks the op counts and only requires the async
-arm to not be *slower* at 0 ms.
+Acceptance (full mode): async >= 2x sync ops/s at 0 ms at the top
+pipeline width (64 in-flight ops; the JSON shows per-width ratios so
+the scaling story stays visible), and the fan-in run completes with a
+flat server thread count.  ``--quick`` (the CI smoke mode) shrinks the
+op counts and only requires the async arm to not be *slower* at 0 ms.
 
-Emits ``BENCH_async_framing.json`` at the repo root.  Also runnable
-via pytest (``pytest benchmarks/bench_async_framing.py``).
+Emits ``BENCH_async_framing.json`` at the repo root, carrying forward
+its ``historical_legacy`` key: the cells of the retired threaded-server
++ JSON-client arm, kept as a baseline.  Also runnable via pytest
+(``pytest benchmarks/bench_async_framing.py``).
 """
 
 import argparse
@@ -56,17 +55,7 @@ LATENCIES_MS = (0.0, 5.0)
 MIN_SPEEDUP_AT_0MS = 2.0       # full-mode floor
 MIN_QUICK_RATIO = 1.0          # CI smoke: never slower
 STREAM_BYTES = 256 * 1024
-ARMS = ("legacy", "async")
-
-
-def _server(arm: str, latency_s: float = 0.0) -> GridBufferServer:
-    engine = "threaded" if arm == "legacy" else "async"
-    return GridBufferServer(engine=engine, simulated_latency=latency_s)
-
-
-def _client_for(arm: str, addr, width: int) -> RpcClient:
-    wire = "json" if arm == "legacy" else None
-    return RpcClient(*addr, timeout=60.0, max_connections=width, wire=wire)
+ARMS = ("sync", "async")
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +63,12 @@ def _client_for(arm: str, addr, width: int) -> RpcClient:
 # ---------------------------------------------------------------------------
 
 
-def _legacy_cell(total_ops: int, latency_ms: float, width: int) -> float:
-    """ops/s for the JSON-threaded stack at its best: a pooled sync
-    client with one pooled connection and one OS thread per in-flight
-    op (the only concurrency model the old stack offers)."""
+def _sync_cell(total_ops: int, latency_ms: float, width: int) -> float:
+    """ops/s for the pooled sync client: one pooled connection and one
+    OS thread per in-flight op."""
     payload = b"w" * BLOCK
-    with _server("legacy", latency_ms / 1e3) as server:
-        rpc = _client_for("legacy", server.address, width)
+    with GridBufferServer(simulated_latency=latency_ms / 1e3) as server:
+        rpc = RpcClient(*server.address, timeout=60.0, max_connections=width)
         try:
             rpc.call(
                 "gb.create",
@@ -113,11 +101,11 @@ def _legacy_cell(total_ops: int, latency_ms: float, width: int) -> float:
 
 
 def _async_cell(total_ops: int, latency_ms: float, width: int) -> float:
-    """ops/s for the async stack at its best: every in-flight op is a
-    task multiplexed onto ONE pipelined binary connection — no client
-    pool, no thread and no socket per op."""
+    """ops/s for the async client: every in-flight op is a task
+    multiplexed onto ONE pipelined connection — no client pool, no
+    thread and no socket per op."""
     payload = b"w" * BLOCK
-    with _server("async", latency_ms / 1e3) as server:
+    with GridBufferServer(simulated_latency=latency_ms / 1e3) as server:
         addr = server.address
 
         async def go() -> float:
@@ -156,7 +144,7 @@ def sweep_small_ops(total_ops: int, latency_ms: float, trials: int) -> list:
         ops = total_ops if latency_ms == 0 else min(total_ops, width * 32)
         samples = {arm: [] for arm in ARMS}
         for _ in range(trials):
-            samples["legacy"].append(_legacy_cell(ops, latency_ms, width))
+            samples["sync"].append(_sync_cell(ops, latency_ms, width))
             samples["async"].append(_async_cell(ops, latency_ms, width))
         for arm in ARMS:
             cells.append(
@@ -177,13 +165,11 @@ def sweep_small_ops(total_ops: int, latency_ms: float, trials: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def stream_once(arm: str, latency_ms: float) -> dict:
+def stream_once(latency_ms: float) -> dict:
     data = bytes((i * 31) % 256 for i in range(STREAM_BYTES))
     digest = hashlib.sha256(data).hexdigest()
-    with _server(arm, latency_ms / 1e3) as server:
+    with GridBufferServer(simulated_latency=latency_ms / 1e3) as server:
         client = GridBufferClient(*server.address, timeout=60.0)
-        if arm == "legacy":
-            client._rpc = _client_for(arm, server.address, 8)
         errors: list = []
         try:
             client.create_stream("st", n_readers=1)
@@ -210,7 +196,7 @@ def stream_once(arm: str, latency_ms: float) -> dict:
         finally:
             client.close()
     return {
-        "arm": arm,
+        "arm": "sync",
         "latency_ms": latency_ms,
         "bytes": STREAM_BYTES,
         "elapsed_s": round(elapsed, 5),
@@ -225,7 +211,7 @@ def stream_once(arm: str, latency_ms: float) -> dict:
 
 def fan_in(n_readers: int) -> dict:
     payload = b"f" * BLOCK
-    with _server("async") as server:
+    with GridBufferServer() as server:
         ctl = GridBufferClient(*server.address, timeout=60.0)
         ctl.create_stream("fan", n_readers=n_readers)
         for i in range(n_readers):
@@ -290,7 +276,7 @@ def run(quick: bool = False, write_json: bool = True) -> dict:
     cells = []
     for latency_ms in LATENCIES_MS:
         cells.extend(sweep_small_ops(total_ops, latency_ms, trials))
-    streaming = [stream_once(arm, 5.0) for arm in ARMS]
+    streaming = [stream_once(5.0)]
     fan = fan_in(n_readers)
 
     def ops_at(arm, latency_ms, width):
@@ -302,17 +288,17 @@ def run(quick: bool = False, write_json: bool = True) -> dict:
             and c["concurrency"] == width
         )
 
-    # The headline compares the arms at the top pipeline width — the
-    # concurrency regime this PR targets.  Per-width ratios go in the
-    # JSON so the scaling story (legacy degrades with in-flight ops,
-    # async improves) stays visible.
+    # The headline compares the arms at the top pipeline width.
+    # Per-width ratios go in the JSON so the scaling story stays
+    # visible, and the depth-1 cells as latency per call.
     top = max(CONCURRENCY)
     speedup_by_width = {
-        w: round(ops_at("async", 0.0, w) / ops_at("legacy", 0.0, w), 2)
+        w: round(ops_at("async", 0.0, w) / ops_at("sync", 0.0, w), 2)
         for w in CONCURRENCY
     }
-    speedup_0ms = ops_at("async", 0.0, top) / ops_at("legacy", 0.0, top)
-    speedup_5ms = ops_at("async", 5.0, top) / ops_at("legacy", 5.0, top)
+    speedup_0ms = ops_at("async", 0.0, top) / ops_at("sync", 0.0, top)
+    speedup_5ms = ops_at("async", 5.0, top) / ops_at("sync", 5.0, top)
+    depth1_us = {arm: round(1e6 / ops_at(arm, 0.0, 1), 1) for arm in ARMS}
 
     out = {
         "bench": "async_framing_ab",
@@ -327,6 +313,7 @@ def run(quick: bool = False, write_json: bool = True) -> dict:
         "speedup_by_concurrency_0ms": speedup_by_width,
         "speedup_at_0ms": round(speedup_0ms, 2),
         "speedup_at_5ms": round(speedup_5ms, 2),
+        "depth1_us_per_call_0ms": depth1_us,
         "min_speedup_at_0ms": MIN_QUICK_RATIO if quick else MIN_SPEEDUP_AT_0MS,
     }
 
@@ -345,10 +332,11 @@ def run(quick: bool = False, write_json: bool = True) -> dict:
         f"speedup at x{top}: {speedup_0ms:.2f}x at 0ms, {speedup_5ms:.2f}x at 5ms "
         f"(by width at 0ms: {speedup_by_width})"
     )
+    print(f"depth-1 us/call at 0ms: {depth1_us}")
 
     floor = MIN_QUICK_RATIO if quick else MIN_SPEEDUP_AT_0MS
     assert speedup_0ms >= floor, (
-        f"async+binary only {speedup_0ms:.2f}x the JSON-threaded baseline at 0 ms, "
+        f"async client only {speedup_0ms:.2f}x the pooled sync client at 0 ms, "
         f"x{top} in flight (need >= {floor}x)"
     )
     # The headline scaling property: hundreds of parked readers must
@@ -361,6 +349,10 @@ def run(quick: bool = False, write_json: bool = True) -> dict:
 
     if write_json:
         path = Path(__file__).resolve().parents[1] / "BENCH_async_framing.json"
+        if path.exists():
+            historical = json.loads(path.read_text()).get("historical_legacy")
+            if historical is not None:
+                out["historical_legacy"] = historical
         path.write_text(json.dumps(out, indent=2) + "\n")
         print(f"wrote {path}")
     return out

@@ -10,7 +10,7 @@ cell:
 * **fast** — PR 3 behaviour: coalesced vectored writes
   (``gb.write_multi`` behind the bounded flush deadline), adaptive
   windowed read-ahead (``gb.read_multi``), and — for the broadcast
-  cell — the shared per-process block cache with ``gb.consume`` acks.
+  cell — the shared per-process block cache with ``gb.consume_multi`` acks.
 
 The paper's crossover argument (Section 5) is that buffered streaming
 wins exactly when round trips dominate; the fast path widens that win

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from .. import obs
-from ..gns.client import GnsClient, GnsWatchUnsupported, LocalGnsClient
+from ..gns.client import GnsClient, LocalGnsClient
 from ..gns.records import BufferEndpoint, GnsRecord, IOMode
 from ..grid.replica_catalog import Replica
 from ..ioutil import ReadIntoFromRead
@@ -761,8 +761,7 @@ class FileMultiplexer:
         Server death mid-watch surfaces here as OSError/RpcError: the
         loop backs off and re-issues the watch from the last revision
         it has applied, so the store replays whatever was missed — no
-        change is lost or seen twice.  An old GNS peer without watch
-        support degrades to resolve-at-open, silently.
+        change is lost or seen twice.
         """
         gns = self.ctx.gns
         revision = -1
@@ -773,12 +772,6 @@ class FileMultiplexer:
                     self._apply_watch()
                     continue
                 batch = gns.watch(from_revision=revision, timeout=self.ctx.watch_budget)
-            except GnsWatchUnsupported:
-                obs.event("fm.watch_degraded", machine=self.ctx.machine)
-                logger.info(
-                    "GNS peer predates gns.watch; live remap degrades to resolve-at-open"
-                )
-                return
             except (OSError, RpcError) as exc:
                 obs.event("fm.watch_retry", machine=self.ctx.machine, error=str(exc))
                 if self._watch_stop.wait(0.1):

@@ -18,9 +18,8 @@ Besides the legacy ops it serves:
   :class:`~repro.transport.aio.LoopSignal`, and a client that
   reconnects after server death resumes from its last seen revision;
 * per-namespace bearer tokens, checked on every op that names a
-  namespace.  Old peers send no ``ns``/``auth`` header and silently
-  land in the (untokened by default) ``default`` namespace — the same
-  skew discipline as the ``_wire``/``_trace`` header fields.
+  namespace.  A request with no ``ns``/``auth`` header lands in the
+  (untokened by default) ``default`` namespace.
 """
 
 from __future__ import annotations

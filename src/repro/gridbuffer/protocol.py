@@ -2,7 +2,7 @@
 
 The paper's implementation used SOAP over Web Services; we keep the
 role (self-describing messages on one firewall-friendly channel) on the
-framed-JSON RPC layer.  Block size defaults to 4096 bytes — the typical
+framed RPC layer of :mod:`repro.transport`.  Block size defaults to 4096 bytes — the typical
 write size the paper reports for the climate models.
 """
 
@@ -18,7 +18,6 @@ __all__ = [
     "OP_WRITE_MULTI",
     "OP_READ",
     "OP_READ_MULTI",
-    "OP_CONSUME",
     "OP_CONSUME_MULTI",
     "OP_CLOSE_WRITER",
     "OP_STATS",
@@ -51,10 +50,8 @@ OP_ABORT = "gb.abort"
 OP_RESUME = "gb.resume"
 OP_HIGH_WATER = "gb.high_water"
 
-# -- vectored fast-path ops (PR 3) ---------------------------------------
-# Frames stay JSON-header + binary payload; these ops just move more
-# per round trip.  An old server replies "unknown-op" and clients fall
-# back to the per-block ops above, so both directions stay compatible.
+# -- vectored fast-path ops ----------------------------------------------
+# These ops move more per round trip than the per-block ops above.
 
 #: Scatter several blocks in one frame.  Header: ``name``, ``offsets``
 #: (list), ``sizes`` (list, same length); payload is the blocks
@@ -70,20 +67,14 @@ OP_WRITE_MULTI = "gb.write_multi"
 #: letting clients stop scheduling read-ahead past EOF.
 OP_READ_MULTI = "gb.read_multi"
 
-#: Mark byte ranges consumed for a reader *without* transferring them
-#: (the reader got the bytes from a co-located reader's fetch).
-#: Header: ``name``, ``reader_id``, ``ranges`` (list of [start, end)).
+#: Mark byte ranges consumed for one or more readers *without*
+#: transferring them (the readers got the bytes from a co-located
+#: reader's fetch).  Header: ``name``, ``entries`` — a list of
+#: ``[reader_id, ranges]`` pairs, ranges as lists of [start, end).
 #: Keeps delete-on-read GC and per-reader lag gauges exact when a
-#: shared client-side cache dedupes broadcast reads.
-OP_CONSUME = "gb.consume"
-
-#: Batched ``gb.consume`` covering several readers in one frame.
-#: Header: ``name``, ``entries`` — a list of ``[reader_id, ranges]``
-#: pairs (ranges as for ``gb.consume``).  Emitted by the shared-cache
-#: ack aggregator so co-located readers pay one round trip and one
-#: server-side GC pass per flush instead of one each.  An old server
-#: replies "unknown-op" and the client falls back to per-reader
-#: ``gb.consume`` (capability probe, like the vectored ops).
+#: shared client-side cache dedupes broadcast reads; the shared-cache
+#: ack aggregator batches co-located readers so they pay one round trip
+#: and one server-side GC pass per flush instead of one each.
 OP_CONSUME_MULTI = "gb.consume_multi"
 
 # -- cooperative block cache (PR 8) ---------------------------------------

@@ -1,13 +1,11 @@
 """TCP front end for the Grid Buffer service.
 
 One :class:`GridBufferServer` hosts a :class:`GridBufferService` and
-serves any number of streams.  With the default async engine the
+serves any number of streams on the async :class:`RpcServer`.  The
 blocking ops (reads waiting for unwritten data, writes stalled on
 capacity) are native coroutine handlers — a parked reader costs a
 future on the stream, not a server thread, so one node multiplexes
-thousands of concurrent readers.  ``engine="threaded"`` keeps the
-legacy thread-per-connection JSON server (mixed-version interop tests
-and benchmark baselines).
+thousands of concurrent readers.
 """
 
 from __future__ import annotations
@@ -15,13 +13,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from ..transport.tcp import RpcError, RpcServer, ThreadedRpcServer
+from ..transport.tcp import RpcError, RpcServer
 from .cache import BufferCache
 from .protocol import (
     DEFAULT_CAPACITY,
     OP_ABORT,
     OP_CLOSE_WRITER,
-    OP_CONSUME,
     OP_CONSUME_MULTI,
     OP_CREATE,
     OP_DROP,
@@ -46,10 +43,10 @@ class GridBufferServer:
     ``simulated_latency`` (one-way seconds) is injected per RPC by the
     underlying :class:`RpcServer`, so benchmarks can A/B the per-block
     and vectored paths over a slow link without leaving localhost.
-
-    ``engine`` selects the RPC server: ``"async"`` (default) hosts the
-    blocking Grid Buffer ops as native coroutines on the shared event
-    loop; ``"threaded"`` is the legacy thread-per-connection server.
+    ``max_inflight`` caps server-wide handler concurrency — with
+    ``simulated_latency`` it models an origin link whose service time
+    grows with offered load, which is what the cooperative-cache
+    benchmark constrains.
     """
 
     def __init__(
@@ -59,79 +56,54 @@ class GridBufferServer:
         port: int = 0,
         default_capacity: Optional[int] = DEFAULT_CAPACITY,
         simulated_latency: float = 0.0,
-        engine: str = "async",
         max_inflight: Optional[int] = None,
         inflight_ops: Optional[Sequence[str]] = None,
     ):
-        if engine not in ("async", "threaded"):
-            raise ValueError(f"engine must be 'async' or 'threaded', not {engine!r}")
         self.service = GridBufferService(default_capacity=default_capacity)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._simulated_latency = simulated_latency
         self._max_inflight = max_inflight
         self._inflight_ops = inflight_ops
-        self.engine = engine
         self._rpc = self._new_rpc(host, port)
         self._register_ops(self._rpc)
 
-    def _new_rpc(self, host: str, port: int):
-        if self.engine == "async":
-            # max_inflight (async engine only) caps server-wide handler
-            # concurrency — with simulated_latency it models an origin
-            # link whose service time grows with offered load, which is
-            # what the cooperative-cache benchmark constrains.
-            return RpcServer(
-                host,
-                port,
-                simulated_latency=self._simulated_latency,
-                max_inflight=self._max_inflight,
-                inflight_ops=self._inflight_ops,
-            )
-        return ThreadedRpcServer(host, port, simulated_latency=self._simulated_latency)
+    def _new_rpc(self, host: str, port: int) -> RpcServer:
+        return RpcServer(
+            host,
+            port,
+            simulated_latency=self._simulated_latency,
+            max_inflight=self._max_inflight,
+            inflight_ops=self._inflight_ops,
+        )
 
-    def _register_ops(self, rpc) -> None:
+    def _register_ops(self, rpc: RpcServer) -> None:
         # Service-level detail for the ops plane's _obs.health op.
         rpc.health_info = self.health_info
+        # gb.create and gb.drop run on a worker: they touch the cache
+        # file on disk.
         rpc.register(OP_CREATE, self._op_create)
-        rpc.register(OP_REGISTER_READER, self._op_register_reader)
-        rpc.register(OP_WRITE, self._op_write)
-        rpc.register(OP_WRITE_MULTI, self._op_write_multi)
-        rpc.register(OP_READ, self._op_read)
-        rpc.register(OP_READ_MULTI, self._op_read_multi)
-        rpc.register(OP_CONSUME, self._op_consume)
-        rpc.register(OP_CONSUME_MULTI, self._op_consume_multi)
-        rpc.register(OP_CLOSE_WRITER, self._op_close_writer)
-        rpc.register(OP_STATS, self._op_stats)
         rpc.register(OP_DROP, self._op_drop)
-        rpc.register(OP_EXISTS, self._op_exists)
-        rpc.register(OP_ABORT, self._op_abort)
-        rpc.register(OP_RESUME, self._op_resume)
-        rpc.register(OP_HIGH_WATER, self._op_high_water)
-        if hasattr(rpc, "register_async"):
-            # The potentially-blocking ops become coroutines: a reader
-            # waiting for data (or a writer stalled on capacity) parks
-            # a future on the stream instead of holding a thread.
-            rpc.register_async(OP_WRITE, self._op_write_async)
-            rpc.register_async(OP_WRITE_MULTI, self._op_write_multi_async)
-            rpc.register_async(OP_READ, self._op_read_async)
-            rpc.register_async(OP_READ_MULTI, self._op_read_multi_async)
-            # Everything left never blocks (lock-protected dict/interval
-            # work, no waiting, no file IO) — run it inline on the loop
-            # and skip the two thread hops of the executor path.
-            # gb.create and gb.drop stay on a worker: they touch the
-            # cache file on disk.
-            for op, fn in (
-                (OP_REGISTER_READER, self._op_register_reader),
-                (OP_CONSUME, self._op_consume),
-                (OP_CONSUME_MULTI, self._op_consume_multi),
-                (OP_CLOSE_WRITER, self._op_close_writer),
-                (OP_STATS, self._op_stats),
-                (OP_EXISTS, self._op_exists),
-                (OP_ABORT, self._op_abort),
-                (OP_RESUME, self._op_resume),
-                (OP_HIGH_WATER, self._op_high_water),
-            ):
-                rpc.register(op, fn, inline=True)
+        # The potentially-blocking ops are coroutines: a reader waiting
+        # for data (or a writer stalled on capacity) parks a future on
+        # the stream instead of holding a thread.
+        rpc.register_async(OP_WRITE, self._op_write_async)
+        rpc.register_async(OP_WRITE_MULTI, self._op_write_multi_async)
+        rpc.register_async(OP_READ, self._op_read_async)
+        rpc.register_async(OP_READ_MULTI, self._op_read_multi_async)
+        # Everything left never blocks (lock-protected dict/interval
+        # work, no waiting, no file IO) — run it inline on the loop and
+        # skip the two thread hops of the executor path.
+        for op, fn in (
+            (OP_REGISTER_READER, self._op_register_reader),
+            (OP_CONSUME_MULTI, self._op_consume_multi),
+            (OP_CLOSE_WRITER, self._op_close_writer),
+            (OP_STATS, self._op_stats),
+            (OP_EXISTS, self._op_exists),
+            (OP_ABORT, self._op_abort),
+            (OP_RESUME, self._op_resume),
+            (OP_HIGH_WATER, self._op_high_water),
+        ):
+            rpc.register(op, fn, inline=True)
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -142,7 +114,6 @@ class GridBufferServer:
         names = self.service.stream_names()
         return {
             "kind": "gridbuffer",
-            "engine": self.engine,
             "streams": len(names),
             "stream_names": names[:32],
         }
@@ -217,10 +188,10 @@ class GridBufferServer:
         gen = self._wrap(
             lambda: self.service.register_reader(header["name"], header["reader_id"])
         )
-        # New clients key their shared block cache on the generation; an
-        # old client simply ignores the extra reply field.  A peer-cache
-        # client also asks for hints here, so a late joiner of a warm
-        # broadcast starts fetching from peers with its very first read.
+        # Clients key their shared block cache on the generation.  A
+        # peer-cache client also asks for hints here, so a late joiner of
+        # a warm broadcast starts fetching from peers with its very first
+        # read.
         reply: Dict[str, Any] = {"gen": gen}
         reply.update(self._peer_hints(header, header["name"], 0))
         return reply, b""
@@ -235,8 +206,7 @@ class GridBufferServer:
         """``cached_at`` hint for the range starting at ``nxt``, or ``{}``.
 
         Only computed when the request opted in via ``peer_hints`` (the
-        hint fan-out K) — which is also what keeps the reply field off
-        the wire for old clients, so codec skew is silent both ways.
+        hint fan-out K).
         The hint carries the stream total when the writer has closed, so
         a fully peer-served reader learns EOF without an origin read.
         """
@@ -268,82 +238,6 @@ class GridBufferServer:
                 drops=header.get("drops"),
                 gen=header.get("gen"),
             )
-
-    def _op_write(self, header: Dict[str, Any], payload: bytes):
-        stall = self._wrap(
-            lambda: self.service.write(
-                header["name"],
-                int(header["offset"]),
-                payload,
-                timeout=header.get("timeout"),
-                token=header.get("token"),
-                seq=header.get("seq"),
-            )
-        )
-        reply: Dict[str, Any] = {"written": len(payload)}
-        if stall is not None:
-            reply["stall"] = stall
-        return reply, b""
-
-    def _op_write_multi(self, header: Dict[str, Any], payload: bytes):
-        offsets = [int(o) for o in header["offsets"]]
-        sizes = [int(s) for s in header["sizes"]]
-        if len(offsets) != len(sizes):
-            raise RpcError("bad-request", "offsets/sizes length mismatch")
-        if sum(sizes) != len(payload):
-            raise RpcError("bad-request", "payload length does not match sizes")
-        view = memoryview(payload)
-        runs = []
-        pos = 0
-        for offset, size in zip(offsets, sizes):
-            runs.append((offset, bytes(view[pos : pos + size])))
-            pos += size
-        written, stall = self._wrap(
-            lambda: self.service.write_multi(
-                header["name"],
-                runs,
-                timeout=header.get("timeout"),
-                token=header.get("token"),
-                seq=header.get("seq"),
-            )
-        )
-        reply: Dict[str, Any] = {"written": written}
-        if stall is not None:
-            reply["stall"] = stall
-        return reply, b""
-
-    def _op_read(self, header: Dict[str, Any], _payload: bytes):
-        offset = int(header["offset"])
-        data = self._wrap(
-            lambda: self.service.read(
-                header["name"],
-                header["reader_id"],
-                offset,
-                int(header["length"]),
-                timeout=header.get("timeout"),
-            )
-        )
-        reply: Dict[str, Any] = {"eof": len(data) == 0}
-        reply.update(self._peer_hints(header, header["name"], offset + len(data)))
-        return reply, data
-
-    def _op_read_multi(self, header: Dict[str, Any], _payload: bytes):
-        name = header["name"]
-        offset = int(header["offset"])
-        data = self._wrap(
-            lambda: self.service.read(
-                name,
-                header["reader_id"],
-                offset,
-                int(header.get("budget", header.get("length", 0))),
-                timeout=header.get("timeout"),
-                min_bytes=int(header.get("min_bytes", 1)),
-            )
-        )
-        total = self.service.total_bytes(name)
-        reply: Dict[str, Any] = {"eof": len(data) == 0, "total": total}
-        reply.update(self._peer_hints(header, name, offset + len(data)))
-        return reply, data
 
     async def _op_write_async(self, header: Dict[str, Any], payload: bytes):
         stall = await self._awrap(
@@ -420,16 +314,6 @@ class GridBufferServer:
         reply: Dict[str, Any] = {"eof": len(data) == 0, "total": total}
         reply.update(self._peer_hints(header, name, offset + len(data)))
         return reply, data
-
-    def _op_consume(self, header: Dict[str, Any], _payload: bytes):
-        ranges = [(int(s), int(e)) for s, e in header.get("ranges", [])]
-        self._wrap(
-            lambda: self.service.mark_consumed(header["name"], header["reader_id"], ranges)
-        )
-        self._note_holder(header, header["name"])
-        nxt = max((end for _, end in ranges), default=0)
-        nxt = max(nxt, int(header.get("hint_from") or 0))
-        return self._peer_hints(header, header["name"], nxt), b""
 
     def _op_consume_multi(self, header: Dict[str, Any], _payload: bytes):
         entries = [

@@ -4,15 +4,7 @@ and the in-process virtual-host registry used by the real FM."""
 from .aio import AsyncRpcClient, AsyncRpcServer
 from .gridftp import DEFAULT_BLOCK, GridFtpClient, GridFtpServer
 from .inmem import DelayModel, HostRegistry, VirtualHost
-from .tcp import (
-    FrameError,
-    RpcClient,
-    RpcError,
-    RpcServer,
-    ThreadedRpcServer,
-    recv_frame,
-    send_frame,
-)
+from .tcp import FrameError, RpcClient, RpcError, RpcServer
 
 __all__ = [
     "DEFAULT_BLOCK",
@@ -25,9 +17,6 @@ __all__ = [
     "RpcClient",
     "RpcError",
     "RpcServer",
-    "ThreadedRpcServer",
     "AsyncRpcClient",
     "AsyncRpcServer",
-    "recv_frame",
-    "send_frame",
 ]

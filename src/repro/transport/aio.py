@@ -15,15 +15,16 @@ readers.  Handlers come in three kinds:
   waits become awaits and consume no thread at all (the Grid Buffer
   read/write ops use this).
 
-Framing is negotiated per the scheme in :mod:`repro.transport.wire`:
-the server answers whatever codec each frame arrives in (sniffed off
-the first byte) and advertises binary support by echoing the client's
-``_wire`` probe key, so old JSON-only peers interoperate unchanged.
+Every frame is in the one format of :mod:`repro.transport.wire` —
+preamble, field table, payload, CRC trailer — in both directions from
+the first frame.  A frame in any other shape (a bad magic byte, a
+missing trailer flag, an oversized field table) closes the connection
+without being served.
 
 :class:`AsyncRpcClient` is the asyncio twin of the sync pooled client
-— same negotiation, retry gating and fault hooks, but one coroutine
-per in-flight call instead of one blocked thread (the DIRACX
-sync/aio dual-client pattern).
+— same framing, retry gating and fault hooks, but one coroutine per
+in-flight call instead of one blocked thread (the DIRACX sync/aio
+dual-client pattern).
 
 This module is imported by :mod:`repro.transport.tcp` (which re-binds
 ``AsyncRpcServer`` as the public ``RpcServer``); import the package
@@ -33,7 +34,6 @@ via ``repro.transport`` so the two halves initialise in order.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import random
 import socket
@@ -51,29 +51,20 @@ from .tcp import (
     _SERVER_REQUESTS,
     DEFAULT_RPC_TIMEOUT,
     IDEMPOTENT_OPS,
-    MAX_HEADER,
     FrameError,
     RetryPolicy,
     RpcError,
 )
 from .wire import (
-    CRC_TRAILER,
     CRC_TRAILER_SIZE,
-    FLAG_CRC,
-    KNOWN_FLAGS,
-    MAGIC,
-    PREAMBLE,
     PREAMBLE_SIZE,
     TRACE_KEY,
-    WIRE_KEY,
-    WIRE_VERSION,
     IntegrityError,
     WireError,
-    advert_has_crc,
     build_binary_frame,
-    build_json_frame,
-    decode_binary_header,
-    wire_advert,
+    crc_trailer,
+    finish_frame,
+    unpack_preamble,
 )
 
 __all__ = ["AsyncRpcServer", "AsyncRpcClient", "LoopSignal", "get_engine"]
@@ -233,57 +224,28 @@ def get_engine() -> _LoopEngine:
 
 async def read_frame_async(
     reader: asyncio.StreamReader,
-) -> Tuple[Dict[str, Any], bytes, str]:
-    """Read one frame in either framing; returns (header, payload, codec).
+) -> Tuple[Dict[str, Any], bytes]:
+    """Read one frame and verify its CRC trailer; returns (header, payload).
 
-    The codec is sniffed off the first byte: ``0xB1`` marks a binary
-    frame, anything else is the high byte of a legacy JSON header
-    length (always 0x00/0x01 because of ``MAX_HEADER``).  A binary
-    frame carrying ``FLAG_CRC`` has its trailer consumed and verified
-    here and reports codec ``"binary+crc"``, so repliers can echo the
-    sender's protection level frame-for-frame.
+    A malformed preamble raises :class:`FrameError` before any byte
+    past it is awaited; a CRC mismatch raises :class:`IntegrityError`
+    once the whole frame is consumed.
     """
     try:
-        b0 = await reader.readexactly(1)
-        if b0[0] == MAGIC:
-            raw = b0 + await reader.readexactly(PREAMBLE_SIZE - 1)
-            _magic, version, flags, opid, flen, plen = PREAMBLE.unpack(raw)
-            if version != WIRE_VERSION:
-                raise FrameError(f"unsupported wire version {version}")
-            if flags & ~KNOWN_FLAGS:
-                raise FrameError(f"unsupported wire flags 0x{flags:02x}")
-            fields = await reader.readexactly(flen) if flen else b""
-            payload = await reader.readexactly(plen) if plen else b""
-            want_crc = -1
-            if flags & FLAG_CRC:
-                want_crc = CRC_TRAILER.unpack(await reader.readexactly(CRC_TRAILER_SIZE))[0]
-            try:
-                header = decode_binary_header(opid, fields, plen)
-            except WireError as exc:
-                raise FrameError(f"bad binary header: {exc}") from exc
-            if want_crc < 0:
-                return header, payload, "binary"
-            got = ioutil.crc32(payload)
-            if got != want_crc:
-                raise IntegrityError(
-                    f"payload CRC mismatch on {header.get('op', '?')!r} frame: "
-                    f"got {got:#010x} want {want_crc:#010x} ({plen} bytes)"
-                )
-            return header, payload, "binary+crc"
-        raw = b0 + await reader.readexactly(3)
-        hlen = int.from_bytes(raw, "big")
-        if hlen > MAX_HEADER:
-            raise FrameError(f"header length {hlen} exceeds maximum")
+        raw = await reader.readexactly(PREAMBLE_SIZE)
         try:
-            header = json.loads((await reader.readexactly(hlen)).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise FrameError(f"bad header: {exc}") from exc
-        if not isinstance(header, dict) or "payload_len" not in header:
-            raise FrameError("header missing payload_len")
-        payload = await reader.readexactly(int(header["payload_len"]))
-        return header, payload, "json"
+            opid, flen, plen = unpack_preamble(raw)
+        except WireError as exc:
+            raise FrameError(f"bad frame: {exc}") from exc
+        fields = await reader.readexactly(flen) if flen else b""
+        payload = await reader.readexactly(plen) if plen else b""
+        trailer = await reader.readexactly(CRC_TRAILER_SIZE)
     except asyncio.IncompleteReadError as exc:
         raise FrameError("connection closed mid-frame") from exc
+    try:
+        return finish_frame(opid, fields, payload, trailer), payload
+    except WireError as exc:
+        raise FrameError(f"bad frame header: {exc}") from exc
 
 
 class LoopSignal:
@@ -363,25 +325,18 @@ class _FrameQueue:
         scratch: bytearray,
         header: Dict[str, Any],
         payload: bytes,
-        codec: str,
         corrupter=None,
     ) -> None:
         """Queue one frame; ``corrupter`` (chaos only) flips payload bits
         *after* the CRC trailer is computed, modelling wire corruption."""
-        if codec == "json":
-            build_json_frame(scratch, header, len(payload))
-            trailer = b""
-        else:
-            crc_on = codec == "binary+crc"
-            build_binary_frame(scratch, header, len(payload), FLAG_CRC if crc_on else 0)
-            trailer = CRC_TRAILER.pack(ioutil.crc32(payload)) if crc_on else b""
+        build_binary_frame(scratch, header, len(payload))
+        trailer = crc_trailer(payload)
         if corrupter is not None and payload:
             payload = corrupter.corrupt_bytes(bytes(payload))
         self.buf += scratch
         if payload:
             self.buf += payload
-        if trailer:
-            self.buf += trailer
+        self.buf += trailer
         self.frames += 1
         if not self.scheduled:
             self.scheduled = True
@@ -405,18 +360,17 @@ Handler = Callable[[Dict[str, Any], bytes], Tuple[Dict[str, Any], bytes]]
 
 
 class AsyncRpcServer:
-    """Event-loop RPC server; drop-in replacement for the threaded one.
+    """Event-loop RPC server, the one server every service runs on.
 
-    Public surface matches the legacy threaded server exactly —
-    ``register``/``start``/``stop``/``disconnect_all``/``address``/
-    ``peer_name``/context manager — plus ``register_async`` for native
-    coroutine handlers.  Semantics preserved from the threaded server:
+    Surface: ``register``/``register_async``/``start``/``stop``/
+    ``disconnect_all``/``address``/``peer_name``/context manager.
+    Semantics:
 
-    * strict request/reply per connection (frames on one connection are
-      served serially, so a pooled client's in-flight depth still equals
-      its connection count);
+    * replies leave each connection in request order (the framing
+      carries no request ids), so a pooled client's in-flight depth
+      still equals its connection count;
     * ``stop`` closes only the listener — established connections keep
-      being served (``disconnect_all`` kills them, as before);
+      being served (``disconnect_all`` kills them);
     * handler exceptions become error replies, never dead connections;
     * the fault injector's ``rpc.server`` hook fires per request with
       identical drop/close/error verdict handling.
@@ -452,12 +406,13 @@ class AsyncRpcServer:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
         sock.listen(128)
+        sock.setblocking(False)
         self._sock = sock
         addr = sock.getsockname()
         self._address = (addr[0], addr[1])
         #: Label used by the fault injector to match ``peer=`` globs.
         self.peer_name = f"{addr[0]}:{addr[1]}"
-        self._aserver: Optional[asyncio.base_events.Server] = None
+        self._listening = False  # loop thread only once started
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -470,31 +425,75 @@ class AsyncRpcServer:
         self._handlers[op] = ("async", handler)
 
     def start(self) -> "AsyncRpcServer":
-        async def _bind():
-            return await asyncio.start_server(self._serve_conn, sock=self._sock)
+        def _listen() -> None:
+            self._listening = True
+            self._engine.loop.add_reader(self._sock.fileno(), self._accept)
 
-        self._aserver = self._engine.submit(_bind()).result(timeout=10)
+        self._on_loop(_listen)
         return self
+
+    def _accept(self) -> None:
+        """Accept every queued connection (loop thread, listener readable).
+
+        Hand-rolled rather than ``asyncio.start_server``/``sock_accept``:
+        both can accept a connection and then drop it unclosed when the
+        listener is closed at the wrong moment, leaving its client to
+        wait out a whole IO timeout across a restart.  Here accepting
+        and closing both run on the loop thread, and every accepted
+        socket gets its serving task before this callback returns.
+        """
+        loop = self._engine.loop
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except (BlockingIOError, InterruptedError):  # fault-ok: queue drained
+                return
+            except ConnectionAbortedError:  # fault-ok: peer gave up in the queue
+                continue
+            except OSError:  # fault-ok: EMFILE and friends; back off, then listen again
+                loop.remove_reader(self._sock.fileno())
+                loop.call_later(0.1, self._resume_accepting)
+                return
+            loop.create_task(self._serve_accepted(conn))
+
+    def _resume_accepting(self) -> None:
+        if self._listening:
+            self._engine.loop.add_reader(self._sock.fileno(), self._accept)
+
+    async def _serve_accepted(self, conn: socket.socket) -> None:
+        try:
+            reader, writer = await asyncio.open_connection(sock=conn)
+        except OSError:  # fault-ok: peer reset before we got to it
+            conn.close()
+            return
+        await self._serve_conn(reader, writer)
 
     def stop(self) -> None:
         """Close the listener; established connections keep serving.
 
         Blocks until the listening socket is really closed so a
-        restart can rebind the same port immediately.  (Deliberately
-        not ``wait_closed()`` — on newer Pythons that waits for every
-        connection too, which is ``disconnect_all``'s job, not ours.)
+        restart can rebind the same port immediately.
         """
-        server, self._aserver = self._aserver, None
-        if server is None:
-            self._sock.close()
-            return
-        done = threading.Event()
 
         def _close() -> None:
-            server.close()
-            done.set()
+            if self._listening:
+                self._listening = False
+                self._engine.loop.remove_reader(self._sock.fileno())
+            self._sock.close()
 
-        self._engine.loop.call_soon_threadsafe(_close)
+        self._on_loop(_close)
+
+    def _on_loop(self, fn: Callable[[], Any]) -> None:
+        """Run ``fn`` on the engine loop thread and wait for it."""
+        done = threading.Event()
+
+        def _run() -> None:
+            try:
+                fn()
+            finally:
+                done.set()
+
+        self._engine.loop.call_soon_threadsafe(_run)
         done.wait(timeout=5)
 
     def disconnect_all(self) -> None:
@@ -503,17 +502,14 @@ class AsyncRpcServer:
             writers = list(self._writers)
         if not writers:
             return
-        done = threading.Event()
 
         def _kill() -> None:
             for w in writers:
                 transport = w.transport
                 if transport is not None:
                     transport.abort()
-            done.set()
 
-        self._engine.loop.call_soon_threadsafe(_kill)
-        done.wait(timeout=5)
+        self._on_loop(_kill)
 
     def __enter__(self) -> "AsyncRpcServer":
         return self.start()
@@ -527,22 +523,16 @@ class AsyncRpcServer:
         entry: Optional[Tuple[str, Callable]],
         header: Dict[str, Any],
         payload: bytes,
-        codec: str,
-        probe: bool,
         rctx: Optional[obs.SpanContext] = None,
         corrupter=None,
-    ) -> Tuple[Dict[str, Any], bytes, str, Any]:
+    ) -> Tuple[Dict[str, Any], bytes, Any]:
         """Execute one handler and package its reply for the reply pump."""
         if self._sem is not None and (
             self._inflight_ops is None or op in self._inflight_ops
         ):
             async with self._sem:
-                return await self._run_one_admitted(
-                    op, entry, header, payload, codec, probe, rctx, corrupter
-                )
-        return await self._run_one_admitted(
-            op, entry, header, payload, codec, probe, rctx, corrupter
-        )
+                return await self._run_one_admitted(op, entry, header, payload, rctx, corrupter)
+        return await self._run_one_admitted(op, entry, header, payload, rctx, corrupter)
 
     async def _run_one_admitted(
         self,
@@ -550,11 +540,9 @@ class AsyncRpcServer:
         entry: Optional[Tuple[str, Callable]],
         header: Dict[str, Any],
         payload: bytes,
-        codec: str,
-        probe: bool,
         rctx: Optional[obs.SpanContext] = None,
         corrupter=None,
-    ) -> Tuple[Dict[str, Any], bytes, str, Any]:
+    ) -> Tuple[Dict[str, Any], bytes, Any]:
         if self.simulated_latency:
             await asyncio.sleep(2.0 * self.simulated_latency)
         tracer = obs.get_tracer()
@@ -610,9 +598,7 @@ class AsyncRpcServer:
             tracer.finish_span(
                 span, error=None if reply.get("ok") else str(reply.get("error"))
             )
-        if probe:
-            reply[WIRE_KEY] = wire_advert()
-        return reply, data, codec, corrupter
+        return reply, data, corrupter
 
     async def _serve_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -629,8 +615,8 @@ class AsyncRpcServer:
         # defeat pipelining entirely).  The framing carries no request
         # ids, so replies must still leave in request order: ``order``
         # holds one entry per in-flight request — a handler Task, or a
-        # ready ``(reply, data, codec)`` tuple — and the pump drains it
-        # strictly FIFO.
+        # ready ``(reply, data, corrupter)`` tuple — and the pump drains
+        # it strictly FIFO.
         order: Deque[Any] = deque()
         wake = asyncio.Event()
         pump: Optional["asyncio.Task"] = None
@@ -644,10 +630,10 @@ class AsyncRpcServer:
                     await wake.wait()
                 _PUMP_QUEUE.set(len(order))
                 item = order[0]
-                reply, data, codec, corrupter = item if isinstance(item, tuple) else await item
+                reply, data, corrupter = item if isinstance(item, tuple) else await item
                 order.popleft()
                 try:
-                    outq.push_frame(pump_scratch, reply, data, codec, corrupter)
+                    outq.push_frame(pump_scratch, reply, data, corrupter)
                     await writer.drain()
                 except (OSError, ConnectionError):  # fault-ok: peer hung up mid-reply
                     return
@@ -662,7 +648,7 @@ class AsyncRpcServer:
         try:
             while True:
                 try:
-                    header, payload, codec = await read_frame_async(reader)
+                    header, payload = await read_frame_async(reader)
                 except IntegrityError:
                     # Corrupted request frame.  The stream itself is back
                     # in sync (the full frame was consumed), but the
@@ -671,18 +657,13 @@ class AsyncRpcServer:
                     # re-sends under its idempotency gate.
                     ioutil.count_integrity_error("rpc.server", "close")
                     return
-                except (FrameError, OSError):  # fault-ok: peer hung up; normal teardown
+                except (FrameError, OSError):  # fault-ok: peer hung up or sent a malformed frame
                     return
                 op = header.get("op", "")
                 # The trace header never reaches handlers: popped here
                 # whether or not tracing is active, so handler code sees
                 # the same header dict either way.
                 rctx = obs.context_from_wire(header.pop(TRACE_KEY, None))
-                # A JSON request carrying the probe key is asking
-                # whether we speak binary; every reply to it (success,
-                # error, injected fault) must echo the advertisement or
-                # the client mis-pins JSON.
-                probe = codec == "json" and WIRE_KEY in header
                 corrupter = None
                 injector = faults.ACTIVE
                 if injector is not None:
@@ -693,13 +674,11 @@ class AsyncRpcServer:
                         verdict = await injector.fire_async("rpc.server", op, self.peer_name)
                     except faults.InjectedFault as exc:
                         reply = {"ok": False, "error": "injected-fault", "message": str(exc)}
-                        if probe:
-                            reply[WIRE_KEY] = wire_advert()
                         if order:
-                            _enqueue((reply, b"", codec, None))
+                            _enqueue((reply, b"", None))
                             continue
                         try:
-                            outq.push_frame(scratch, reply, b"", codec)
+                            outq.push_frame(scratch, reply, b"")
                             await writer.drain()
                         except (OSError, ConnectionError):  # fault-ok: peer already gone
                             return
@@ -712,8 +691,7 @@ class AsyncRpcServer:
                     elif verdict is not None:
                         # "drop": swallow the request and close (FIN);
                         # "close": reset so the client's pending recv
-                        # fails immediately (matches the threaded
-                        # server's SHUT_RDWR).
+                        # fails immediately.
                         if verdict == "close" and writer.transport is not None:
                             writer.transport.abort()
                         return
@@ -761,10 +739,8 @@ class AsyncRpcServer:
                         tracer.finish_span(
                             span, error=None if reply.get("ok") else str(reply.get("error"))
                         )
-                    if probe:
-                        reply[WIRE_KEY] = wire_advert()
                     try:
-                        outq.push_frame(scratch, reply, data, codec, corrupter)
+                        outq.push_frame(scratch, reply, data, corrupter)
                         await writer.drain()
                     except (OSError, ConnectionError):  # fault-ok: peer hung up mid-reply
                         return
@@ -780,7 +756,7 @@ class AsyncRpcServer:
                 _PIPELINE_DEPTH.observe(len(order) + 1)
                 _enqueue(
                     loop.create_task(
-                        self._run_one(op, entry, header, payload, codec, probe, rctx, corrupter)
+                        self._run_one(op, entry, header, payload, rctx, corrupter)
                     )
                 )
         finally:
@@ -811,7 +787,7 @@ class _Conn:
         self.reader = reader
         self.writer = writer
         self.outq = _FrameQueue(writer)
-        self.pending: Deque[Tuple[bool, "asyncio.Future", float]] = deque()
+        self.pending: Deque[Tuple["asyncio.Future", float]] = deque()
         self.task: Optional["asyncio.Task"] = None
         self.watchdog: Optional["asyncio.TimerHandle"] = None
 
@@ -819,10 +795,9 @@ class _Conn:
 class AsyncRpcClient:
     """Asyncio-native RPC client: one connection, serial request/reply.
 
-    The aio twin of the sync pooled ``RpcClient`` — identical codec
-    negotiation, retry/idempotency gating and ``rpc.client`` fault
-    hook, but callers hold a coroutine instead of a thread while a
-    call is in flight.
+    The aio twin of the sync pooled ``RpcClient`` — identical framing,
+    retry/idempotency gating and ``rpc.client`` fault hook, but callers
+    hold a coroutine instead of a thread while a call is in flight.
 
     Unlike the sync client (one in-flight call per pooled connection),
     concurrent callers sharing one instance *pipeline*: the lock covers
@@ -841,23 +816,13 @@ class AsyncRpcClient:
         host: str,
         port: int,
         timeout: Optional[float] = None,
-        wire: Optional[str] = None,
         retry: Optional[RetryPolicy] = None,
-        crc: Optional[bool] = None,
     ):
         self._addr = (host, port)
         self._peer = f"{host}:{port}"
         self._timeout = DEFAULT_RPC_TIMEOUT if timeout is None else timeout
         self._retry = retry if retry is not None else RetryPolicy()
         self._rng = random.Random()
-        forced = wire if wire is not None else (os.environ.get("REPRO_WIRE") or None)
-        if forced not in (None, "json", "binary"):
-            raise ValueError(f"wire must be 'json' or 'binary', not {forced!r}")
-        self._forced = forced
-        if crc is None:
-            crc = os.environ.get("REPRO_WIRE_CRC", "1") != "0"
-        self._want_crc = bool(crc)
-        self._codec: Optional[str] = forced  # None until negotiated
         self._conn: Optional[_Conn] = None
         self._scratch = bytearray(256)
         self._lock = asyncio.Lock()  # connection setup + frame-write order
@@ -912,11 +877,9 @@ class AsyncRpcClient:
             except (OSError, FrameError, asyncio.TimeoutError) as exc:
                 self._teardown()
                 if isinstance(exc, IntegrityError):
-                    # Healthy peer, corrupted frame: keep the pinned
-                    # codec, count the detection, re-request.
+                    # Healthy peer, corrupted frame: count the
+                    # detection and re-request.
                     ioutil.count_integrity_error("rpc.client", "retry")
-                elif self._codec not in (None, "json") and self._forced is None:
-                    self._codec = None  # re-probe after a connection loss
                 _CLIENT_ERRORS.labels(op=op, kind=type(exc).__name__).inc()
                 if attempt >= attempts:
                     if isinstance(exc, asyncio.TimeoutError):
@@ -934,13 +897,9 @@ class AsyncRpcClient:
 
         The lock covers connect + frame write only, so concurrent
         callers pipeline on one connection (replies are FIFO per the
-        framing contract).  A negotiating call additionally holds the
-        lock until its probe reply pins the codec — every frame after
-        it is framed in the negotiated codec.
+        framing contract).
         """
-        await self._lock.acquire()
-        probe = False
-        try:
+        async with self._lock:
             if self._closed:
                 raise ConnectionError(f"client to {self._peer} is closed")
             loop = asyncio.get_running_loop()
@@ -951,13 +910,6 @@ class AsyncRpcClient:
                 else:
                     await self._connect()
             conn = self._conn
-            codec = self._codec
-            probe = codec is None
-            send_msg = msg
-            if probe:
-                codec = "json"
-                send_msg = dict(msg)
-                send_msg[WIRE_KEY] = WIRE_VERSION
             corrupter = None
             injector = faults.ACTIVE
             if injector is not None:
@@ -976,7 +928,7 @@ class AsyncRpcClient:
                     conn.writer.transport.abort()
             fut = loop.create_future()
             deadline = (loop.time() + self._timeout) if self._timeout else 0.0
-            conn.pending.append((probe, fut, deadline))
+            conn.pending.append((fut, deadline))
             if self._timeout and conn.watchdog is None:
                 # One timer per connection, not per call: replies are
                 # FIFO, so the earliest un-met deadline is always the
@@ -985,16 +937,9 @@ class AsyncRpcClient:
                 conn.watchdog = loop.call_later(
                     self._timeout, self._watchdog_fire, conn
                 )
-            conn.outq.push_frame(self._scratch, send_msg, payload, codec, corrupter)
+            conn.outq.push_frame(self._scratch, msg, payload, corrupter)
             await conn.writer.drain()
-        finally:
-            if not probe:
-                self._lock.release()
-        try:
-            reply, data = await fut
-        finally:
-            if probe:
-                self._lock.release()
+        reply, data = await fut
         if not reply.get("ok", False):
             kind = reply.get("error", "remote-error")
             _CLIENT_ERRORS.labels(op=op, kind=kind).inc()
@@ -1019,7 +964,7 @@ class AsyncRpcClient:
         conn.watchdog = None
         loop = asyncio.get_running_loop()
         now = loop.time()
-        for probe_, fut, deadline in conn.pending:
+        for fut, deadline in conn.pending:
             if fut.done():
                 continue  # abandoned by a cancelled caller; recv will skip it
             if deadline <= now:
@@ -1045,17 +990,8 @@ class AsyncRpcClient:
         exc: Optional[BaseException] = None
         try:
             while True:
-                reply, data, _ = await read_frame_async(conn.reader)
-                probe, fut, _deadline = conn.pending.popleft()
-                if probe and self._forced is None:
-                    advert = reply.get(WIRE_KEY)
-                    if advert is None:
-                        self._codec = "json"
-                    elif self._want_crc and advert_has_crc(advert):
-                        self._codec = "binary+crc"
-                    else:
-                        self._codec = "binary"
-                reply.pop(WIRE_KEY, None)
+                reply, data = await read_frame_async(conn.reader)
+                fut, _deadline = conn.pending.popleft()
                 if not fut.done():  # timed-out callers abandon cancelled futures
                     fut.set_result((reply, data))
         except (OSError, FrameError, IndexError) as err:  # fault-ok: conn died; callers retry
@@ -1067,7 +1003,7 @@ class AsyncRpcClient:
                 f"connection to {self._peer} closed"
             )
             while conn.pending:
-                _, fut, _deadline = conn.pending.popleft()
+                fut, _deadline = conn.pending.popleft()
                 if not fut.done():
                     fut.set_exception(failure)
 

@@ -2,78 +2,48 @@
 
 All the real (non-simulated) GriddLeS services — the GNS server, the
 Grid Buffer server and the GridFTP-like file server — speak framed
-request/reply RPC in one of two interoperable framings:
-
-* **legacy JSON**: a 4-byte big-endian length, a JSON header, and an
-  optional binary payload.  The JSON header plays the role of the
-  paper's SOAP envelope (self-describing, firewall-friendly single
-  channel); the binary payload carries file blocks without base64
-  overhead::
-
-      +--------------+------------------+---------------------+
-      | len(header)  |  header (JSON)   |  payload (binary)   |
-      |  uint32 BE   |                  |                     |
-      +--------------+------------------+---------------------+
-
-  The header always contains ``"payload_len"`` so the receiver knows
-  how many payload bytes follow.
-
-* **binary**: a fixed 14-byte preamble plus a varint-packed field
-  table (see :mod:`repro.transport.wire`), negotiated via the
-  ``_wire`` capability probe on a client's first call.  Servers sniff
-  the framing per frame off the first byte, so mixed-version peers
-  interoperate without configuration.
+request/reply RPC in one format: a fixed 14-byte preamble, a
+varint-packed field table (the paper's SOAP envelope role:
+self-describing, one firewall-friendly channel), the raw payload, and
+a crc32 trailer over the payload (see :mod:`repro.transport.wire`).
+Every frame carries the trailer from the first frame of a connection;
+there is nothing to negotiate.
 
 The public ``RpcServer`` is the async-native engine from
 :mod:`repro.transport.aio` (one event loop, no thread per
-connection); :class:`ThreadedRpcServer` is the legacy thread-per-
-connection JSON-only implementation, kept as the mixed-version interop
-peer and the benchmark baseline.  :class:`RpcClient` stays a blocking,
-pooled client — the sync facade — and negotiates the binary codec
-transparently.
+connection).  :class:`RpcClient` is a blocking, pooled client — the
+sync facade every service client uses.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import socket
-import socketserver
-import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import faults, ioutil, obs
-from ..obs import ops as obs_ops
 from .wire import (
-    CRC_TRAILER,
     CRC_TRAILER_SIZE,
-    FLAG_CRC,
-    KNOWN_FLAGS,
-    MAGIC,
-    PREAMBLE,
+    MAX_HEADER,
     PREAMBLE_SIZE,
     TRACE_KEY,
-    WIRE_KEY,
-    WIRE_VERSION,
     IntegrityError,
     WireError,
-    advert_has_crc,
     build_binary_frame,
-    build_json_frame,
-    decode_binary_header,
+    crc_trailer,
+    finish_frame,
+    unpack_preamble,
 )
 
 __all__ = [
-    "send_frame",
-    "recv_frame",
+    "MAX_HEADER",
     "FrameError",
     "IntegrityError",
     "RpcServer",
-    "ThreadedRpcServer",
     "RpcClient",
     "RpcError",
     "RetryPolicy",
@@ -81,9 +51,6 @@ __all__ = [
     "ClientClosedError",
     "IDEMPOTENT_OPS",
 ]
-
-_LEN = struct.Struct(">I")
-MAX_HEADER = 16 * 1024 * 1024
 
 _CLIENT_CALLS = obs.counter(
     "rpc_client_calls_total", "RPC round trips issued by clients", labelnames=("op",)
@@ -147,7 +114,6 @@ IDEMPOTENT_OPS: FrozenSet[str] = frozenset(
         "gb.register_reader",
         "gb.read",
         "gb.read_multi",
-        "gb.consume",
         "gb.consume_multi",
         "gb.close_writer",
         "gb.stats",
@@ -216,26 +182,6 @@ class RpcError(RuntimeError):
         self.message = message
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Receive exactly ``n`` bytes into one pre-sized buffer (no joins)."""
-    if n == 0:
-        return b""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        r = sock.recv_into(view[got:], n - got)
-        if not r:
-            raise FrameError(f"connection closed with {n - got} bytes outstanding")
-        got += r
-    return bytes(buf)
-
-
-#: Per-thread scratch buffer for :func:`send_frame` so the legacy JSON
-#: send path allocates no fresh header bytes per frame.
-_tls = threading.local()
-
-
 def _send_prebuilt(
     sock: socket.socket, scratch: bytearray, payload: memoryview, trailer: bytes = b""
 ) -> None:
@@ -274,199 +220,6 @@ def _send_prebuilt(
         # Release before returning: a live export would make the next
         # frame's buffer reuse (del scratch[:]) raise BufferError.
         hview.release()
-
-
-def send_frame(sock: socket.socket, header: Dict[str, Any], payload: bytes = b"") -> None:
-    """Send one legacy JSON frame (header dict + binary payload).
-
-    ``payload`` may be any bytes-like object (``bytes``, ``bytearray``,
-    ``memoryview``).  The header is encoded into a per-thread reusable
-    scratch buffer.
-    """
-    payload = memoryview(payload)
-    try:
-        scratch = _tls.scratch
-    except AttributeError:
-        scratch = _tls.scratch = bytearray(256)
-    build_json_frame(scratch, header, len(payload))
-    _send_prebuilt(sock, scratch, payload)
-
-
-def recv_frame(sock: socket.socket) -> Tuple[Dict[str, Any], bytes]:
-    """Receive one frame; raises :class:`FrameError` on EOF/corruption."""
-    hlen = _LEN.unpack(_recv_exact(sock, 4))[0]
-    if hlen > MAX_HEADER:
-        raise FrameError(f"header length {hlen} exceeds maximum")
-    try:
-        header = json.loads(_recv_exact(sock, hlen).decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise FrameError(f"bad header: {exc}") from exc
-    if not isinstance(header, dict) or "payload_len" not in header:
-        raise FrameError("header missing payload_len")
-    payload = _recv_exact(sock, int(header["payload_len"]))
-    return header, payload
-
-
-Handler = Callable[[Dict[str, Any], bytes], Tuple[Dict[str, Any], bytes]]
-
-
-class ThreadedRpcServer:
-    """Legacy thread-per-connection server, JSON framing only.
-
-    This was the ``RpcServer`` before the async engine landed.  It is
-    kept (unchanged) for two jobs: the *old peer* in mixed-version wire
-    compatibility tests — it never advertises the ``_wire`` capability,
-    so negotiating clients correctly stay on JSON against it — and the
-    baseline arm of the framing benchmarks.
-
-    Register handlers with :meth:`register`; each handler receives
-    ``(header, payload)`` and returns ``(reply_header, reply_payload)``.
-    Exceptions become error replies rather than killing the connection.
-
-    Use as a context manager or call :meth:`start` / :meth:`stop`.
-
-    ``simulated_latency`` (seconds) delays every reply by one-way link
-    latency twice (request + response legs), so benchmarks can A/B the
-    pipelined IO paths over a slow link without leaving localhost.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, simulated_latency: float = 0.0):
-        self._handlers: Dict[str, Handler] = {}
-        obs_ops.install(self)
-        self.simulated_latency = max(0.0, simulated_latency)
-        self._conns: set = set()
-        self._conns_lock = threading.Lock()
-        outer = self
-
-        class _ConnHandler(socketserver.BaseRequestHandler):
-            def setup(self) -> None:
-                with outer._conns_lock:
-                    outer._conns.add(self.request)
-
-            def finish(self) -> None:
-                with outer._conns_lock:
-                    outer._conns.discard(self.request)
-
-            def handle(self) -> None:
-                sock = self.request
-                while True:
-                    try:
-                        header, payload = recv_frame(sock)
-                    except (FrameError, OSError):  # fault-ok: peer hung up; normal teardown
-                        return
-                    if outer.simulated_latency:
-                        time.sleep(2.0 * outer.simulated_latency)
-                    op = header.get("op", "")
-                    corrupt_reply = False
-                    injector = faults.ACTIVE
-                    if injector is not None:
-                        try:
-                            verdict = injector.fire("rpc.server", op, outer.peer_name)
-                        except faults.InjectedFault as exc:
-                            reply = {"ok": False, "error": "injected-fault", "message": str(exc)}
-                            try:
-                                send_frame(sock, reply, b"")
-                            except OSError:  # fault-ok: peer already gone
-                                return
-                            continue
-                        if verdict == "corrupt":
-                            # Serve the request but flip bits in the reply
-                            # payload: the connection stays healthy, only
-                            # the data is wrong.
-                            corrupt_reply = True
-                        elif verdict is not None:
-                            # "drop": swallow the request, no reply, kill the
-                            # connection; "close": also reset both directions so
-                            # the client's pending recv fails immediately.
-                            if verdict == "close":
-                                try:
-                                    sock.shutdown(socket.SHUT_RDWR)
-                                except OSError:  # fault-ok: already dead
-                                    pass
-                            return
-                    handler = outer._handlers.get(op)
-                    try:
-                        if handler is None:
-                            raise RpcError("unknown-op", f"no handler for {op!r}")
-                        reply, data = handler(header, payload)
-                        reply = dict(reply)
-                        reply.setdefault("ok", True)
-                        _SERVER_REQUESTS.labels(op=op, status="ok").inc()
-                    except RpcError as exc:
-                        reply, data = {"ok": False, "error": exc.kind, "message": exc.message}, b""
-                        _SERVER_REQUESTS.labels(op=op, status="error").inc()
-                    except Exception as exc:  # noqa: BLE001 - reply with error
-                        reply, data = {"ok": False, "error": type(exc).__name__, "message": str(exc)}, b""
-                        _SERVER_REQUESTS.labels(op=op, status="error").inc()
-                    if corrupt_reply and data and injector is not None:
-                        data = injector.corrupt_bytes(data)
-                    try:
-                        send_frame(sock, reply, data)
-                    except OSError:  # fault-ok: peer hung up mid-reply; teardown
-                        return
-
-        class _Server(socketserver.ThreadingTCPServer):
-            daemon_threads = True
-            allow_reuse_address = True
-            # Pooled clients open several connections in one burst (a
-            # reader's window plus its demand connection, times N
-            # readers).  The socketserver default backlog of 5 drops
-            # SYNs under that burst and the kernel's ~1 s retransmit
-            # timer turns each drop into a visible stall.
-            request_queue_size = 128
-
-        self._server = _Server((host, port), _ConnHandler)
-        self._thread: Optional[threading.Thread] = None
-        #: Label used by the fault injector to match ``peer=`` globs.
-        addr = self._server.server_address
-        self.peer_name = f"{addr[0]}:{addr[1]}"
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._server.server_address  # type: ignore[return-value]
-
-    def register(self, op: str, handler: Handler) -> None:
-        self._handlers[op] = handler
-
-    def start(self) -> "ThreadedRpcServer":
-        # The default serve_forever poll interval (0.5 s) makes every
-        # stop() wait out the tail of a poll cycle — multiplied by a few
-        # hundred server fixtures that dominates the test suite's time.
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05), daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def disconnect_all(self) -> None:
-        """Forcibly drop every established connection.
-
-        :meth:`stop` only closes the listening socket — handler threads
-        keep serving connections they already hold.  A restart that is
-        supposed to *look* like a crash (the chaos suite's Grid Buffer
-        bounce) calls this so clients actually observe their
-        connections dying and exercise redial + resume.
-        """
-        with self._conns_lock:
-            conns = list(self._conns)
-        for sock in conns:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:  # fault-ok: connection already gone
-                pass
-
-    def __enter__(self) -> "ThreadedRpcServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
 
 class _Conn:
@@ -525,80 +278,44 @@ def _conn_recv_payload(conn: _Conn, n: int) -> bytes:
     return bytes(out)
 
 
-def _conn_send_frame(
-    conn: _Conn, header: Dict[str, Any], payload, codec: str, corrupter=None
-) -> None:
-    """Send one frame in ``codec`` framing.
+def _conn_send_frame(conn: _Conn, header: Dict[str, Any], payload, corrupter=None) -> None:
+    """Send one frame.
 
     ``corrupter`` (a :class:`repro.faults.FaultInjector`, chaos only)
-    flips payload bits *after* any CRC trailer is computed — modelling
+    flips payload bits *after* the CRC trailer is computed — modelling
     corruption on the wire, which is exactly what the trailer exists to
     catch.
     """
     payload = memoryview(payload)
-    if codec == "json":
-        build_json_frame(conn.scratch, header, len(payload))
-        trailer = b""
-    else:
-        crc_on = codec == "binary+crc"
-        build_binary_frame(conn.scratch, header, len(payload), FLAG_CRC if crc_on else 0)
-        trailer = CRC_TRAILER.pack(ioutil.crc32(payload)) if crc_on else b""
+    build_binary_frame(conn.scratch, header, len(payload))
+    trailer = crc_trailer(payload)
     if corrupter is not None and len(payload):
         payload = memoryview(corrupter.corrupt_bytes(bytes(payload)))
     _send_prebuilt(conn.sock, conn.scratch, payload, trailer)
 
 
 def _conn_recv_frame(conn: _Conn) -> Tuple[Dict[str, Any], bytes]:
-    """Receive one reply in either framing (sniffed off the first byte).
+    """Receive one reply, verifying its CRC trailer.
 
-    A checksummed binary frame (``FLAG_CRC``) has its 4-byte trailer
-    consumed and verified here; a mismatch raises
-    :class:`IntegrityError` *after* the stream position is restored
-    past the full frame, so the failure is about the data, not framing.
+    A malformed preamble fails as :class:`FrameError` before any byte
+    past it is awaited.  A CRC mismatch raises :class:`IntegrityError`
+    *after* the full frame is consumed, so the failure is about the
+    data, not framing.
     """
-    _conn_fill(conn, 1)
-    if conn.rbuf[0] == MAGIC:
-        _conn_fill(conn, PREAMBLE_SIZE)
-        _magic, version, flags, opid, flen, plen = PREAMBLE.unpack_from(conn.rbuf, 0)
-        del conn.rbuf[:PREAMBLE_SIZE]
-        if version != WIRE_VERSION:
-            raise FrameError(f"unsupported wire version {version}")
-        if flags & ~KNOWN_FLAGS:
-            # Unknown flags may imply trailer bytes we cannot account
-            # for — reading on would desynchronise the stream.
-            raise FrameError(f"unsupported wire flags 0x{flags:02x}")
-        _conn_fill(conn, flen)
-        fields = _conn_take(conn, flen)
-        payload = _conn_recv_payload(conn, plen)
-        want_crc = -1
-        if flags & FLAG_CRC:
-            want_crc = CRC_TRAILER.unpack(_conn_recv_payload(conn, CRC_TRAILER_SIZE))[0]
-        try:
-            header = decode_binary_header(opid, fields, plen)
-        except WireError as exc:
-            raise FrameError(f"bad binary header: {exc}") from exc
-        if want_crc >= 0:
-            got = ioutil.crc32(payload)
-            if got != want_crc:
-                raise IntegrityError(
-                    f"payload CRC mismatch on {header.get('op', '?')!r} frame: "
-                    f"got {got:#010x} want {want_crc:#010x} ({plen} bytes)"
-                )
-        return header, payload
-    _conn_fill(conn, 4)
-    hlen = int.from_bytes(conn.rbuf[:4], "big")
-    del conn.rbuf[:4]
-    if hlen > MAX_HEADER:
-        raise FrameError(f"header length {hlen} exceeds maximum")
-    _conn_fill(conn, hlen)
+    _conn_fill(conn, PREAMBLE_SIZE)
     try:
-        header = json.loads(_conn_take(conn, hlen).decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise FrameError(f"bad header: {exc}") from exc
-    if not isinstance(header, dict) or "payload_len" not in header:
-        raise FrameError("header missing payload_len")
-    payload = _conn_recv_payload(conn, int(header["payload_len"]))
-    return header, payload
+        opid, flen, plen = unpack_preamble(conn.rbuf)
+    except WireError as exc:
+        raise FrameError(f"bad frame: {exc}") from exc
+    del conn.rbuf[:PREAMBLE_SIZE]
+    _conn_fill(conn, flen)
+    fields = _conn_take(conn, flen)
+    payload = _conn_recv_payload(conn, plen)
+    trailer = _conn_recv_payload(conn, CRC_TRAILER_SIZE)
+    try:
+        return finish_frame(opid, fields, payload, trailer), payload
+    except WireError as exc:
+        raise FrameError(f"bad frame header: {exc}") from exc
 
 
 class RpcClient:
@@ -611,23 +328,6 @@ class RpcClient:
     ``max_connections`` callers proceed in parallel; excess callers
     wait for a free connection.  Connections are created lazily, so a
     client used from one thread still holds exactly one socket.
-
-    ``wire`` pins the frame codec: ``"json"`` (always interoperable),
-    ``"binary"`` (requires a binary-capable server), or ``None`` — the
-    default — to negotiate.  Negotiation costs nothing: the first call
-    goes out as JSON carrying the ``_wire`` probe key; a binary-capable
-    server echoes the key in its reply and the client pins binary for
-    every later frame, while an old server ignores it and the client
-    stays on JSON.  A connection-level failure while pinned to binary
-    un-pins (the peer may have been downgraded mid-flight), so the next
-    attempt re-probes with a frame any server can parse.
-
-    The same probe negotiates per-frame CRC: a server that advertises
-    the ``"crc"`` capability in its probe reply gets checksummed binary
-    frames from then on (the ``FLAG_CRC`` trailer, verified both ways),
-    unless ``crc=False`` or ``REPRO_WIRE_CRC=0`` opts out.  Neither
-    side ever sends a trailer to a peer that has not advertised it, so
-    mixed-version fleets interoperate unchecksummed.
     """
 
     def __init__(
@@ -637,8 +337,6 @@ class RpcClient:
         timeout: Optional[float] = None,
         max_connections: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
-        wire: Optional[str] = None,
-        crc: Optional[bool] = None,
     ):
         self._addr = (host, port)
         self._peer = f"{host}:{port}"
@@ -647,14 +345,6 @@ class RpcClient:
                                else DEFAULT_POOL_CONNECTIONS))
         self._retry = retry if retry is not None else RetryPolicy()
         self._rng = random.Random()
-        forced = wire if wire is not None else (os.environ.get("REPRO_WIRE") or None)
-        if forced not in (None, "json", "binary"):
-            raise ValueError(f"wire must be 'json' or 'binary', not {forced!r}")
-        self._forced = forced
-        if crc is None:
-            crc = os.environ.get("REPRO_WIRE_CRC", "1") != "0"
-        self._want_crc = bool(crc)
-        self._codec: Optional[str] = forced  # None until negotiated
         self._cv = threading.Condition()
         self._idle: List[_Conn] = []
         self._inflight: Set[_Conn] = set()   # connections currently checked out
@@ -673,8 +363,6 @@ class RpcClient:
             timeout=self._timeout,
             max_connections=self._max,
             retry=self._retry,
-            wire=self._forced,
-            crc=self._want_crc,
         )
 
     def _new_conn(self) -> _Conn:
@@ -807,18 +495,8 @@ class RpcClient:
             attempt += 1
             conn = None
             gen = -1
-            probe = False
             try:
                 conn, gen = self._checkout()
-                codec = self._codec
-                send_msg = msg
-                if codec is None:
-                    # First contact: probe as JSON (any server parses it)
-                    # carrying the binary-capability key.
-                    probe = True
-                    codec = "json"
-                    send_msg = dict(msg)
-                    send_msg[WIRE_KEY] = WIRE_VERSION
                 corrupter = None
                 injector = faults.ACTIVE
                 if injector is not None:
@@ -835,7 +513,7 @@ class RpcClient:
                             conn.sock.shutdown(socket.SHUT_RDWR)
                         except OSError:  # fault-ok: socket already dead
                             pass
-                _conn_send_frame(conn, send_msg, payload, codec, corrupter)
+                _conn_send_frame(conn, msg, payload, corrupter)
                 reply, data = _conn_recv_frame(conn)
             except (PoolTimeout, ClientClosedError):
                 raise  # pool exhaustion / shutdown: retrying cannot help
@@ -843,15 +521,9 @@ class RpcClient:
                 if conn is not None:
                     self._discard(conn, gen)
                 if isinstance(exc, IntegrityError):
-                    # The peer is healthy and still speaks the pinned
-                    # codec — the data was corrupted.  Keep the codec,
-                    # count the detection, and re-request the frame.
+                    # The peer is healthy, the data was corrupted: count
+                    # the detection and re-request the frame.
                     ioutil.count_integrity_error("rpc.client", "retry")
-                elif self._codec not in (None, "json") and self._forced is None:
-                    # The peer may have been bounced onto an older build
-                    # that cannot parse binary frames; forget the pinned
-                    # codec so the next attempt re-probes with JSON.
-                    self._codec = None
                 _CLIENT_ERRORS.labels(op=op, kind=type(exc).__name__).inc()
                 with self._cv:
                     # A generation bump means *our own* close()/close_all()
@@ -865,15 +537,6 @@ class RpcClient:
                 continue
             break
         self._checkin(conn, gen)
-        if probe:
-            advert = reply.get(WIRE_KEY)
-            if advert is None:
-                self._codec = "json"
-            elif self._want_crc and advert_has_crc(advert):
-                self._codec = "binary+crc"
-            else:
-                self._codec = "binary"
-        reply.pop(WIRE_KEY, None)
         if not reply.get("ok", False):
             kind = reply.get("error", "remote-error")
             _CLIENT_ERRORS.labels(op=op, kind=kind).inc()

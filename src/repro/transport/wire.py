@@ -1,9 +1,7 @@
-"""Binary wire framing for the RPC layer.
+"""The one wire format of the RPC layer.
 
-The legacy frame is a 4-byte big-endian length followed by a JSON
-header and a raw payload.  That header costs a JSON encode + decode on
-*every* frame, which is what dominates the PR 3 bench once link latency
-is removed.  This module defines the binary replacement:
+Every frame on every connection — request or reply, first or last —
+has the same shape:
 
 Preamble (14 bytes, fixed)::
 
@@ -13,18 +11,13 @@ Preamble (14 bytes, fixed)::
     +-------+---------+-------+--------+------------+-------------+
 
 followed by ``fields_len`` bytes of a compact varint-packed field
-table (the op arguments that used to live in the JSON header) and
-``payload_len`` bytes of raw payload.
-
-*Interop by construction*: a legacy JSON frame starts with its header
-length, and ``MAX_HEADER`` (16 MiB) keeps that first byte at 0x00 or
-0x01 — never 0xB1.  A receiver therefore sniffs the first byte of each
-frame and accepts both framings on one connection, which is what lets
-mixed-version peers talk without a handshake round trip.  The client
-side still needs to learn whether its *server* is binary-capable
-before sending a binary frame (an old server would read the magic as a
-giant length and drop the connection); that is negotiated by the
-``_wire`` probe key in :mod:`repro.transport.tcp`.
+table (the op arguments), ``payload_len`` bytes of raw payload, and a
+4-byte big-endian crc32 trailer over the payload.  ``flags`` is always
+exactly :data:`FLAG_CRC`; a receiver refuses any frame whose magic,
+version or flags differ, or whose field table claims more than
+:data:`MAX_HEADER` bytes, and closes the connection.  There is no
+negotiation and no second codec: every client and server ships from
+this tree.
 
 Field table
 -----------
@@ -37,7 +30,7 @@ string) and a type-tagged value:
 tag   encoding
 ====  =======================================================
 0/1/2 None / True / False (no body)
-3     int — zigzag varint
+3     int — zigzag varint (up to 1024 bits)
 4     float — 8-byte IEEE big-endian
 5     str — varint length + UTF-8
 6     bytes — varint length + raw
@@ -49,30 +42,26 @@ Known op names from :data:`OPS` ride in the preamble's op id; unknown
 ops set id 0 and carry the name in the field table, so arbitrary
 test/bench handlers work unchanged.
 
-Scratch buffers
----------------
-
-Both frame builders encode into a caller-owned ``bytearray`` that is
+The frame builder encodes into a caller-owned ``bytearray`` that is
 cleared and reused across frames, so the steady-state send path
-performs no per-frame header allocations (the JSON builder here also
-replaces the old ``pack + concat`` in :func:`repro.transport.tcp.send_frame`).
+performs no per-frame header allocations.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import Any, Dict, Mapping, Tuple
+
+from .. import ioutil
 
 __all__ = [
     "MAGIC",
     "WIRE_VERSION",
     "PREAMBLE",
     "PREAMBLE_SIZE",
-    "WIRE_KEY",
+    "MAX_HEADER",
     "TRACE_KEY",
     "FLAG_CRC",
-    "KNOWN_FLAGS",
     "CRC_TRAILER",
     "CRC_TRAILER_SIZE",
     "OPS",
@@ -81,17 +70,15 @@ __all__ = [
     "encode_fields",
     "decode_fields",
     "build_binary_frame",
-    "build_json_frame",
+    "crc_trailer",
+    "unpack_preamble",
     "decode_binary_header",
-    "wire_advert",
-    "advert_has_crc",
+    "finish_frame",
     "WireError",
     "IntegrityError",
 ]
 
-#: First byte of every binary frame.  A legacy JSON frame starts with
-#: the high byte of a <=16 MiB header length (0x00/0x01), so sniffing
-#: one byte disambiguates the two framings.
+#: First byte of every frame.
 MAGIC = 0xB1
 
 #: Bumped only for incompatible preamble changes.
@@ -101,15 +88,14 @@ WIRE_VERSION = 1
 PREAMBLE = struct.Struct(">BBBHII")
 PREAMBLE_SIZE = PREAMBLE.size
 
-#: Header key used by the client's capability probe: a JSON request
-#: carrying it asks "do you speak binary framing?"; a binary-capable
-#: server echoes it in the reply header.
-WIRE_KEY = "_wire"
+#: Largest field table a receiver accepts.  The preamble's
+#: ``fields_len`` comes straight off the socket; without this cap a
+#: peer claiming a huge table would park the receiver until its IO
+#: timeout instead of failing the frame at once.
+MAX_HEADER = 16 * 1024 * 1024
 
 #: Header key carrying the caller's trace context (``[trace_id,
-#: span_id]``).  Travels as a plain key in legacy JSON — old peers
-#: ignore it — and as a one-byte known-key id in the binary field
-#: table; no renegotiation is needed in either codec.
+#: span_id]``) as a one-byte known-key id in the field table.
 TRACE_KEY = "_trace"
 
 #: Preamble flag bit: the frame's payload is followed by a 4-byte
@@ -118,17 +104,19 @@ TRACE_KEY = "_trace"
 #: the payload — the preamble and field table are length-delimited and
 #: structurally validated, while the payload is the part that flows
 #: through opaque bulk-copy paths where a flipped bit survives parsing.
+#: Every frame sets it, and it is the only flag: a frame with any other
+#: flags byte is refused (reading on could desynchronise the stream).
 FLAG_CRC = 0x01
-
-#: Mask of flag bits this build understands.  A frame carrying any
-#: other bit is refused (we cannot know how many trailer bytes it
-#: implies, so reading on would desynchronise the stream).
-KNOWN_FLAGS = FLAG_CRC
 
 CRC_TRAILER = struct.Struct(">I")
 CRC_TRAILER_SIZE = CRC_TRAILER.size
 
 _FLOAT = struct.Struct(">d")
+
+#: Widest integer the field codec carries (zigzag-encoded bits).  The
+#: decoder refuses longer varints, so a malformed table cannot make it
+#: build an arbitrarily large int.
+_MAX_INT_BITS = 1024
 
 
 class WireError(ValueError):
@@ -147,35 +135,14 @@ class IntegrityError(OSError):
     """
 
 
-def wire_advert() -> list:
-    """The server's ``_wire`` probe reply value.
-
-    Old clients only check the key for presence, so the value can carry
-    capability detail: a list ``[WIRE_VERSION, "crc", ...]``.  Old
-    servers still reply with the bare integer ``WIRE_VERSION``; new
-    clients accept both shapes via :func:`advert_has_crc`.
-    """
-    return [WIRE_VERSION, "crc"]
-
-
-def advert_has_crc(advert: Any) -> bool:
-    """True if a probe reply advertises per-frame CRC support.
-
-    A sender must never set :data:`FLAG_CRC` toward a peer that did not
-    advertise it — an old receiver ignores the flags byte and would
-    read the 4 trailer bytes as the next frame's start.
-    """
-    return isinstance(advert, (list, tuple)) and "crc" in advert
-
-
 # ---------------------------------------------------------------------------
-# Op and key tables (append-only: ids are part of the wire contract)
+# Op and key tables (ids are part of the wire contract)
 # ---------------------------------------------------------------------------
 
 OPS: Tuple[str, ...] = (
     # Grid Buffer
     "gb.create", "gb.register_reader", "gb.write", "gb.write_multi",
-    "gb.read", "gb.read_multi", "gb.consume", "gb.consume_multi",
+    "gb.read", "gb.read_multi", "gb.consume_multi",
     "gb.close_writer", "gb.stats", "gb.drop", "gb.exists",
     "gb.abort", "gb.resume", "gb.high_water",
     # GridFTP-like file server
@@ -203,7 +170,7 @@ KEYS: Tuple[str, ...] = (
     "truncate", "src_host", "src_port", "src_path", "dst_path",
     "streams", "block_size", "entries", "reason", "deleted", "sha256",
     "size", "bytes", "machine", "record", "records", "payload_len",
-    WIRE_KEY, TRACE_KEY,
+    TRACE_KEY,
     # Cooperative block cache (PR 8).  ``gen`` is the stream generation,
     # ``peer`` a holder's "host:port" peer-server address, ``holds``/
     # ``drops`` advertised/evicted ranges piggybacked on consume acks,
@@ -249,6 +216,14 @@ def _put_uvarint(out: bytearray, n: int) -> None:
     out.append(n)
 
 
+def _put_int(out: bytearray, value: int) -> None:
+    zigzag = (value << 1) if value >= 0 else ((-value) << 1) - 1
+    if zigzag >> _MAX_INT_BITS:
+        raise WireError(f"integer header value wider than {_MAX_INT_BITS} bits")
+    out.append(3)
+    _put_uvarint(out, zigzag)
+
+
 def _put_value(out: bytearray, value: Any) -> None:
     if value is None:
         out.append(0)
@@ -257,8 +232,7 @@ def _put_value(out: bytearray, value: Any) -> None:
     elif value is False:
         out.append(2)
     elif type(value) is int:
-        out.append(3)
-        _put_uvarint(out, (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1)
+        _put_int(out, value)
     elif type(value) is float:
         out.append(4)
         out += _FLOAT.pack(value)
@@ -285,8 +259,7 @@ def _put_value(out: bytearray, value: Any) -> None:
             out += raw
             _put_value(out, item)
     elif isinstance(value, int):  # bool handled above; int subclasses
-        out.append(3)
-        _put_uvarint(out, (value << 1) if value >= 0 else ((-value) << 1) - 1)
+        _put_int(out, int(value))
     elif isinstance(value, float):
         out.append(4)
         out += _FLOAT.pack(value)
@@ -331,7 +304,7 @@ def _get_uvarint(buf, pos: int) -> Tuple[int, int]:
         if not b & 0x80:
             return result, pos
         shift += 7
-        if shift > 70:
+        if shift > _MAX_INT_BITS:
             raise WireError("varint overflow")
 
 
@@ -406,40 +379,49 @@ def decode_fields(buf) -> Dict[str, Any]:
 
 
 def build_binary_frame(
-    scratch: bytearray, header: Mapping[str, Any], payload_len: int, flags: int = 0
+    scratch: bytearray, header: Mapping[str, Any], payload_len: int
 ) -> None:
     """Encode preamble + field table into ``scratch`` (cleared first).
 
     The payload itself is *not* appended — the caller either appends it
     (small frames: one ``sendall``) or gathers it (``sendmsg`` /
-    separate ``write``), so large payloads are never copied here.  When
-    ``flags`` includes :data:`FLAG_CRC` the caller is also responsible
-    for appending the 4-byte payload-CRC trailer after the payload.
+    separate ``write``), so large payloads are never copied here.  The
+    caller also appends :func:`crc_trailer` after the payload.
     """
     del scratch[:]
     scratch += b"\x00" * PREAMBLE_SIZE
     opid = _OP_TO_ID.get(header.get("op", ""), 0)
     if opid:
-        count_pos = len(scratch)
         encode_fields({k: v for k, v in header.items() if k != "op"}, scratch)
-        del count_pos
     else:
         encode_fields(header, scratch)
     fields_len = len(scratch) - PREAMBLE_SIZE
-    PREAMBLE.pack_into(scratch, 0, MAGIC, WIRE_VERSION, flags, opid, fields_len, payload_len)
+    PREAMBLE.pack_into(scratch, 0, MAGIC, WIRE_VERSION, FLAG_CRC, opid, fields_len, payload_len)
 
 
-def build_json_frame(
-    scratch: bytearray, header: Mapping[str, Any], payload_len: int
-) -> None:
-    """Legacy framing into a reused scratch buffer (header part only)."""
-    msg = dict(header)
-    msg["payload_len"] = payload_len
-    raw = json.dumps(msg, separators=(",", ":")).encode("utf-8")
-    del scratch[:]
-    scratch += b"\x00\x00\x00\x00"
-    scratch += raw
-    struct.pack_into(">I", scratch, 0, len(raw))
+def crc_trailer(payload) -> bytes:
+    """The 4-byte trailer that follows ``payload`` on the wire."""
+    return CRC_TRAILER.pack(ioutil.crc32(payload))
+
+
+def unpack_preamble(raw) -> Tuple[int, int, int]:
+    """Validate a preamble; returns ``(op id, fields_len, payload_len)``.
+
+    Raises :class:`WireError` for anything but a current-version frame
+    carrying exactly :data:`FLAG_CRC` with a field table no larger than
+    :data:`MAX_HEADER` — before the receiver waits for a single byte
+    past the preamble.
+    """
+    magic, version, flags, opid, flen, plen = PREAMBLE.unpack_from(raw, 0)
+    if magic != MAGIC:
+        raise WireError(f"bad frame magic 0x{magic:02x}")
+    if version != WIRE_VERSION:
+        raise WireError(f"unsupported wire version {version}")
+    if flags != FLAG_CRC:
+        raise WireError(f"unsupported wire flags 0x{flags:02x}")
+    if flen > MAX_HEADER:
+        raise WireError(f"field table length {flen} exceeds maximum")
+    return opid, flen, plen
 
 
 def decode_binary_header(opid: int, fields, payload_len: int) -> Dict[str, Any]:
@@ -451,4 +433,23 @@ def decode_binary_header(opid: int, fields, payload_len: int) -> Dict[str, Any]:
             raise WireError(f"unknown op id {opid}")
         header["op"] = name
     header["payload_len"] = payload_len
+    return header
+
+
+def finish_frame(opid: int, fields, payload: bytes, trailer) -> Dict[str, Any]:
+    """Decode a received frame's header and verify its payload CRC.
+
+    Raises :class:`WireError` for a malformed field table and
+    :class:`IntegrityError` when the trailer does not match — by then
+    the whole frame has been consumed, so the failure is about the
+    data, not the framing.
+    """
+    header = decode_binary_header(opid, fields, len(payload))
+    want = CRC_TRAILER.unpack(trailer)[0]
+    got = ioutil.crc32(payload)
+    if got != want:
+        raise IntegrityError(
+            f"payload CRC mismatch on {header.get('op', '?')!r} frame: "
+            f"got {got:#010x} want {want:#010x} ({len(payload)} bytes)"
+        )
     return header

@@ -6,16 +6,19 @@ import struct
 import pytest
 
 from repro.sim.engine import Environment
-from repro.transport.tcp import FrameError, recv_frame
+from repro.transport.tcp import FrameError, _Conn, _conn_recv_frame
+from repro.transport.wire import FLAG_CRC, MAGIC, PREAMBLE, WIRE_VERSION
 
 
 class TestTcpLimits:
     def test_oversized_header_rejected(self):
         a, b = socket.socketpair()
+        b.settimeout(5.0)
         try:
-            a.sendall(struct.pack(">I", 64 * 1024 * 1024))  # 64 MiB header claim
+            # 64 MiB field-table claim
+            a.sendall(PREAMBLE.pack(MAGIC, WIRE_VERSION, FLAG_CRC, 0, 64 * 1024 * 1024, 0))
             with pytest.raises(FrameError, match="exceeds maximum"):
-                recv_frame(b)
+                _conn_recv_frame(_Conn(b))
         finally:
             a.close()
             b.close()

@@ -8,10 +8,8 @@ this file does the same for the control plane.  It proves that
   resume from their last revision — nothing missed, nothing doubled);
 * ``gns.txn`` is atomic and exactly-once under injected connection
   faults (the remove+add replace window is gone);
-* per-namespace bearer tokens isolate tenants, while old peers skew
-  silently into the default namespace;
-* old client + new server and new client + old server both stay
-  correct (watch degrades to resolve-at-open);
+* per-namespace bearer tokens isolate tenants, while a request with
+  no namespace lands in the default one;
 * a running six-IO-mode workflow whose records are edited mid-run
   live-migrates every affected stream COPY↔BUFFER with byte-identical
   output, under GNS-server death and wire corruption.
@@ -35,7 +33,6 @@ from repro.gns import (
     GnsClient,
     GnsRecord,
     GnsServer,
-    GnsWatchUnsupported,
     IOMode,
     LocalGnsClient,
     NameService,
@@ -45,7 +42,7 @@ from repro.grid.replica_catalog import Replica, ReplicaCatalog
 from repro.gridbuffer.server import GridBufferServer
 from repro.transport.gridftp import GridFtpServer
 from repro.transport.inmem import HostRegistry
-from repro.transport.tcp import IDEMPOTENT_OPS, RpcClient, RpcError, ThreadedRpcServer
+from repro.transport.tcp import IDEMPOTENT_OPS, RpcClient, RpcError
 
 pytestmark = pytest.mark.gns
 
@@ -437,107 +434,14 @@ class TestTenancy:
             LocalGnsClient(service, namespace="tenant", token="nope").list_records()
         assert len(good.list_records()) == 1
 
-
-# ---------------------------------------------------------------------------
-# Version skew
-# ---------------------------------------------------------------------------
-def _legacy_gns_server(service):
-    """A pre-control-plane GNS front end: JSON framing, legacy ops only."""
-    server = ThreadedRpcServer("127.0.0.1", 0)
-
-    def op_resolve(header, _payload):
-        record = service.resolve(header["machine"], header["path"])
-        return {"record": record.to_dict()}, b""
-
-    def op_add(header, _payload):
-        service.add(GnsRecord.from_dict(header["record"]))
-        return {}, b""
-
-    def op_remove(header, _payload):
-        return {"removed": service.remove(header["machine"], header["path"])}, b""
-
-    def op_list(header, _payload):
-        return {"records": [r.to_dict() for r in service.records()]}, b""
-
-    server.register("gns.resolve", op_resolve)
-    server.register("gns.add", op_add)
-    server.register("gns.remove", op_remove)
-    server.register("gns.list", op_list)
-    return server
-
-
-class TestVersionSkew:
-    def test_new_client_old_server_degrades_watch(self):
-        service = NameService()
-        with _legacy_gns_server(service) as server:
-            client = GnsClient(*server.address)
-            client.add(_rec(tag=1))
-            assert client.resolve("m1", "/a").local_path == "/real/1"
-            with pytest.raises(GnsWatchUnsupported):
-                client.watch(from_revision=0, timeout=0.1)
-            with pytest.raises(GnsWatchUnsupported):
-                client.txn([("add", _rec(tag=2))])
-            client.close()
-
-    @pytest.mark.timeout(60)
-    def test_fm_live_remap_degrades_silently_against_old_server(self, tmp_path):
-        """live_remap=True against an old GNS: reads work, watcher exits."""
-        hosts = HostRegistry(tmp_path / "hosts")
-        hosts.add_host("alpha")
-        target = hosts.host("alpha").resolve("/data/f.bin")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(b"old-server-payload")
-        service = NameService()
-        with _legacy_gns_server(service) as server:
-            client = GnsClient(*server.address)
-            ctx = GridContext(
-                machine="alpha",
-                gns=client,
-                hosts=hosts,
-                live_remap=True,
-                watch_budget=0.2,
-            )
-            with FileMultiplexer(ctx) as fm:
-                f = fm.open("/data/f.bin", "rb")
-                assert f.read() == b"old-server-payload"
-                f.close()
-                # The watcher thread noticed the unsupported op and
-                # exited cleanly rather than spinning.
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
-                    thread = fm._watch_thread
-                    if thread is None or not thread.is_alive():
-                        break
-                    time.sleep(0.05)
-                assert fm._watch_thread is None or not fm._watch_thread.is_alive()
-            client.close()
-
-    def test_old_client_new_server_lands_in_default_namespace(self, gns_server):
-        # An old client is just an RpcClient that never sends ns/auth.
-        old = RpcClient(*gns_server.address)
-        old.call("gns.add", {"record": _rec(tag=7).to_dict()})
-        reply, _ = old.call("gns.resolve", {"machine": "m1", "path": "/a"})
+    def test_request_without_ns_lands_in_default_namespace(self, gns_server):
+        # A bare RpcClient that never sends ns/auth.
+        bare = RpcClient(*gns_server.address)
+        bare.call("gns.add", {"record": _rec(tag=7).to_dict()})
+        reply, _ = bare.call("gns.resolve", {"machine": "m1", "path": "/a"})
         assert reply["record"]["local_path"] == "/real/7"
         assert [r.local_path for r in gns_server.service.records()] == ["/real/7"]
-        old.close()
-
-    def test_control_plane_ops_work_over_json_and_binary(self, gns_server):
-        # Binary framing (negotiated) and legacy JSON framing must
-        # carry the new ops identically.
-        binary = GnsClient(*gns_server.address)
-        binary.txn([("add", _rec(path="/bin", tag=1))])
-        assert binary.watch(from_revision=0, timeout=0.5).revision == 1
-        json_rpc = RpcClient(*gns_server.address, wire="json")
-        reply, _ = json_rpc.call(
-            "gns.txn",
-            {"ops": [{"action": "add", "record": _rec(path="/json", tag=2).to_dict()}],
-             "token": "json-txn"},
-        )
-        assert int(reply["revision"]) == 2
-        reply, _ = json_rpc.call("gns.watch", {"from_revision": 1, "timeout": 0.5})
-        assert [e["revision"] for e in reply["events"]] == [2]
-        binary.close()
-        json_rpc.close()
+        bare.close()
 
 
 # ---------------------------------------------------------------------------

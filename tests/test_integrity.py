@@ -3,11 +3,8 @@
 Covers the PR 9 machinery bottom-up:
 
 - wire level: the ``FLAG_CRC`` preamble bit and 4-byte payload trailer
-  (round-trip, mismatch -> ``IntegrityError``, unknown flag bits
-  rejected),
-- negotiation: the ``[version, "crc"]`` probe advert and every
-  mixed-version pairing (new client / old server, old client / new
-  server, opt-out, forced wire),
+  every frame carries (round-trip, mismatch -> ``IntegrityError``, a
+  frame without the flag or with unknown flag bits rejected),
 - transport healing: a corrupted *reply* is detected by the client and
   retried under the idempotency gate; a corrupted *request* is
   detected by the server, which drops the connection and the client
@@ -48,21 +45,8 @@ from repro.gridbuffer.server import GridBufferServer
 from repro.transport.aio import read_frame_async
 from repro.transport.gridftp import GridFtpClient, GridFtpServer
 from repro.transport.inmem import HostRegistry
-from repro.transport.tcp import (
-    FrameError,
-    IntegrityError,
-    RpcClient,
-    RpcServer,
-    ThreadedRpcServer,
-)
-from repro.transport.wire import (
-    CRC_TRAILER,
-    FLAG_CRC,
-    WIRE_VERSION,
-    advert_has_crc,
-    build_binary_frame,
-    wire_advert,
-)
+from repro.transport.tcp import FrameError, IntegrityError, RpcClient, RpcServer
+from repro.transport.wire import CRC_TRAILER, FLAG_CRC, build_binary_frame
 
 pytestmark = pytest.mark.corrupt
 
@@ -93,8 +77,8 @@ def _integrity(layer, action):
     return _counter("integrity_errors_total", {"layer": layer, "action": action})
 
 
-def _make_server(engine="async"):
-    server = (RpcServer if engine == "async" else ThreadedRpcServer)("127.0.0.1", 0)
+def _make_server():
+    server = RpcServer("127.0.0.1", 0)
     server.register("echo", lambda header, payload: ({"echo": header.get("msg")}, payload))
     # Registered under an IDEMPOTENT_OPS name so the client may retry it.
     server.register("get_block", lambda header, payload: ({"ok": True}, payload))
@@ -114,24 +98,24 @@ class TestWireCrcFrames:
 
         return asyncio.run(run())
 
-    def _frame(self, payload: bytes, flags: int = FLAG_CRC, crc=None) -> bytes:
+    def _frame(self, payload: bytes, flags: int = FLAG_CRC, checksum=None) -> bytes:
         scratch = bytearray()
-        build_binary_frame(scratch, {"op": "echo", "k": 1}, len(payload), flags)
+        build_binary_frame(scratch, {"op": "echo", "k": 1}, len(payload))
+        scratch[2] = flags
         raw = bytes(scratch) + payload
         if flags & FLAG_CRC:
-            raw += CRC_TRAILER.pack(ioutil.crc32(payload) if crc is None else crc)
+            raw += CRC_TRAILER.pack(ioutil.crc32(payload) if checksum is None else checksum)
         return raw
 
-    def test_crc_frame_round_trips_and_reports_codec(self):
+    def test_crc_frame_round_trips(self):
         payload = b"block-of-bytes" * 100
-        header, got, codec = self._decode(self._frame(payload))
+        header, got = self._decode(self._frame(payload))
         assert got == payload
         assert header["k"] == 1
-        assert codec == "binary+crc"
 
-    def test_plain_binary_frame_reports_plain_codec(self):
-        _, got, codec = self._decode(self._frame(b"data", flags=0))
-        assert codec == "binary"
+    def test_plain_binary_frame_rejected(self):
+        with pytest.raises(FrameError, match="unsupported wire flags"):
+            self._decode(self._frame(b"data", flags=0))
 
     def test_flipped_payload_bit_raises_integrity_error(self):
         payload = bytearray(b"block-of-bytes" * 100)
@@ -142,11 +126,11 @@ class TestWireCrcFrames:
 
     def test_wrong_trailer_raises_integrity_error(self):
         with pytest.raises(IntegrityError):
-            self._decode(self._frame(b"payload", crc=0xDEADBEEF))
+            self._decode(self._frame(b"payload", checksum=0xDEADBEEF))
 
     def test_unknown_flag_bits_rejected(self):
         with pytest.raises(FrameError, match="unsupported wire flags"):
-            self._decode(self._frame(b"payload", flags=0x80, crc=0))
+            self._decode(self._frame(b"payload", flags=FLAG_CRC | 0x80, checksum=0))
 
     def test_crc_helper_is_masked_and_stable(self):
         assert ioutil.crc32(b"") == 0
@@ -155,74 +139,13 @@ class TestWireCrcFrames:
 
 
 # ---------------------------------------------------------------------------
-# Negotiation: advert shape and version-skew pairings
-# ---------------------------------------------------------------------------
-class TestCrcNegotiation:
-    def test_advert_shape(self):
-        advert = wire_advert()
-        assert advert[0] == WIRE_VERSION
-        assert advert_has_crc(advert)
-
-    def test_old_style_adverts_mean_no_crc(self):
-        # Pre-CRC servers echoed a bare version (or nothing): the new
-        # client must read those as "binary, no trailer".
-        assert not advert_has_crc(WIRE_VERSION)
-        assert not advert_has_crc(None)
-        assert not advert_has_crc([WIRE_VERSION])
-
-    def test_new_client_new_server_pins_crc(self):
-        with _make_server("async") as server, RpcClient(*server.address) as client:
-            reply, data = client.call("echo", {"msg": "hi"}, payload=b"x" * 512)
-            assert (reply["echo"], data) == ("hi", b"x" * 512)
-            assert client._codec == "binary+crc"
-
-    def test_new_client_old_server_stays_json(self):
-        # Skew: a legacy JSON-only server never adverts the wire at
-        # all; frames flow unchecked but correct.
-        with _make_server("threaded") as server, RpcClient(*server.address) as client:
-            reply, data = client.call("echo", {"msg": "hi"}, payload=b"y" * 512)
-            assert (reply["echo"], data) == ("hi", b"y" * 512)
-            assert client._codec == "json"
-
-    def test_new_client_pre_crc_server_pins_plain_binary(self, monkeypatch):
-        # Skew: a binary-capable server that predates the CRC flag
-        # adverts a bare version int — simulate by patching the
-        # server-side advert builder.
-        from repro.transport import aio
-
-        monkeypatch.setattr(aio, "wire_advert", lambda: WIRE_VERSION)
-        with _make_server("async") as server, RpcClient(*server.address) as client:
-            reply, data = client.call("echo", {"msg": "hi"}, payload=b"z" * 512)
-            assert (reply["echo"], data) == ("hi", b"z" * 512)
-            assert client._codec == "binary"
-
-    def test_opted_out_client_new_server_pins_plain_binary(self):
-        # Skew the other way: a client that does not want trailers
-        # against a CRC-capable server.
-        with _make_server("async") as server:
-            with RpcClient(*server.address, crc=False) as client:
-                reply, data = client.call("echo", {"msg": "hi"}, payload=b"w" * 512)
-                assert (reply["echo"], data) == ("hi", b"w" * 512)
-                assert client._codec == "binary"
-
-    def test_forced_binary_wire_never_adds_crc(self):
-        # wire="binary" skips the probe entirely, so there is no advert
-        # to justify trailers; frames must stay flag-free.
-        with _make_server("async") as server:
-            with RpcClient(*server.address, wire="binary") as client:
-                _, data = client.call("echo", {"msg": "hi"}, payload=b"v" * 64)
-                assert data == b"v" * 64
-                assert client._codec == "binary"
-
-
-# ---------------------------------------------------------------------------
 # Transport healing: corrupted frames are detected and retried
 # ---------------------------------------------------------------------------
 class TestTransportHealing:
     def test_corrupt_reply_detected_and_retried(self):
         payload = b"b" * 4096
-        with _make_server("async") as server, RpcClient(*server.address) as client:
-            client.call("echo", {"msg": "warm"})  # pin binary+crc
+        with _make_server() as server, RpcClient(*server.address) as client:
+            client.call("echo", {"msg": "warm"})  # warm the pool
             before = _integrity("rpc.client", "retry")
             rule = FaultRule(layer="rpc.server", op="get_block", action="corrupt", nth=1)
             with faults.injected(rule, seed=SEED):
@@ -230,10 +153,9 @@ class TestTransportHealing:
             assert data == payload  # healed: retry got the clean bytes
             assert reply["ok"] is True
             assert _integrity("rpc.client", "retry") > before
-            assert client._codec == "binary+crc"  # detection does not demote
 
     def test_corrupt_reply_on_non_idempotent_op_surfaces(self):
-        with _make_server("async") as server, RpcClient(*server.address) as client:
+        with _make_server() as server, RpcClient(*server.address) as client:
             client.call("echo", {"msg": "warm"})
             rule = FaultRule(layer="rpc.server", op="echo", action="corrupt", times=0)
             with faults.injected(rule, seed=SEED):
@@ -242,7 +164,7 @@ class TestTransportHealing:
 
     def test_corrupt_request_detected_by_server_and_redialed(self):
         payload = b"q" * 4096
-        with _make_server("async") as server, RpcClient(*server.address) as client:
+        with _make_server() as server, RpcClient(*server.address) as client:
             client.call("echo", {"msg": "warm"})
             before = _integrity("rpc.server", "close")
             rule = FaultRule(layer="rpc.client", op="get_block", action="corrupt", nth=1)
@@ -268,7 +190,7 @@ class TestTransportHealing:
             finally:
                 await client.close()
 
-        with _make_server("async") as server:
+        with _make_server() as server:
             before = _integrity("rpc.client", "retry")
             reply, data = asyncio.run(run(server.address))
             assert data == payload

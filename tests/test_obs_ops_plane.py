@@ -12,21 +12,20 @@ import pytest
 from repro import obs
 from repro.obs import top as obs_top
 from repro.obs.ops import OPS
-from repro.transport.tcp import RpcClient, RpcServer, ThreadedRpcServer
+from repro.transport.tcp import RpcClient, RpcServer
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-@pytest.fixture(params=["async", "threaded"])
+@pytest.fixture(params=["async"])
 def server(request):
-    cls = RpcServer if request.param == "async" else ThreadedRpcServer
-    with cls() as srv:
+    with RpcServer() as srv:
         srv.register("app.echo", lambda header, payload: ({"n": header.get("n")}, payload))
         yield srv
 
 
 class TestOpsPlane:
-    def test_ops_installed_on_both_server_classes(self, server):
+    def test_ops_installed(self, server):
         for op in OPS:
             assert op in server._handlers
 

@@ -7,9 +7,9 @@ Covers the PR 8 protocol end to end:
 - the origin-side holder map lifecycle (advertise -> evict -> no stale
   hint; stale-generation advertisements discarded; holder gauges),
 - the ``reader_lag_blocks`` gauge,
-- codec skew in both directions — a request without the negotiated
-  hint keys gets no ``cached_at``, and a client pointed at a server
-  that never hints still reads correctly,
+- hint gating — a request without the hint keys gets no
+  ``cached_at``, and a reader whose server never hints still reads
+  correctly,
 - the ``gb.peer_read`` endpoint itself (crc-verified hit, peer-miss),
 - real cross-process peer fetch: a subprocess holder serves an inline
   follower byte-identically; killing the holder mid-read demotes it
@@ -304,8 +304,8 @@ class TestPeerReadEndpoint:
             self._unplant(key)
 
 
-class TestCodecSkew:
-    """``cached_at`` must be silent-by-absence in both skew directions."""
+class TestHintGating:
+    """``cached_at`` is opt-in per request and never required by readers."""
 
     def _seed_stream(self, client, buffer_server, name, n_readers=1):
         service = buffer_server.service
@@ -315,13 +315,8 @@ class TestCodecSkew:
         gen = service.stream_generation(name)
         service.note_holder(name, "10.9.9.9:1", holds=[(0, 8192)], gen=gen)
 
-    def test_old_client_request_gets_no_hint(self, client, buffer_server):
-        """A request without the negotiated hint keys -> no cached_at.
-
-        An old client's binary field table has no ``peer_hints`` key, so
-        the server sees the field as absent and must not emit a reply
-        field the client cannot decode.
-        """
+    def test_request_without_hint_keys_gets_no_hint(self, client, buffer_server):
+        """A request without ``peer_hints`` -> no ``cached_at`` in the reply."""
         self._seed_stream(client, buffer_server, "skew-old")
         rpc = RpcClient(*buffer_server.address)
         try:
@@ -348,10 +343,10 @@ class TestCodecSkew:
         finally:
             rpc.close()
 
-    def test_new_client_against_server_that_never_hints(
+    def test_reader_correct_when_server_never_hints(
         self, client, buffer_server, monkeypatch
     ):
-        """An old server returns no ``cached_at``; reads must not care."""
+        """A server that returns no ``cached_at``; reads must not care."""
         monkeypatch.setattr(buffer_server, "_peer_hints", lambda *a, **k: {})
         payload = _payload(256 * 1024)
         w = client.open_writer("skew-new", n_readers=1, cache=True)
@@ -363,20 +358,6 @@ class TestCodecSkew:
             assert r.peer_hits == 0  # no hints ever arrived, origin served all
         finally:
             r.close()
-
-    def test_json_pinned_wire_still_carries_hints(self, buffer_server, monkeypatch):
-        """Hint fields ride any codec — JSON fallback is not a downgrade."""
-        monkeypatch.setenv("REPRO_WIRE", "json")
-        c = GridBufferClient(*buffer_server.address)
-        try:
-            self._seed_stream(c, buffer_server, "skew-json", n_readers=2)
-            _, hint = c.register_reader_ex(
-                "skew-json", "r2", peer_hints=("127.0.0.1:3", 3)
-            )
-            assert hint is not None
-            assert hint["peers"] == ["10.9.9.9:1"]
-        finally:
-            c.close()
 
 
 class TestPeerFetchEndToEnd:

@@ -1,15 +1,10 @@
 """Unit + property tests for the framed TCP RPC layer.
 
-The RPC suite is parametrized over the three supported peer skews so
-every behaviour is exercised on both wire framings *and* across a
-version boundary:
-
-* ``binary-binary`` — negotiating client against the async server
-  (both speak the binary framing; the probe pins it);
-* ``binary-json``  — negotiating client against the legacy threaded
-  JSON-only server (the probe degrades to JSON);
-* ``json-binary``  — a client forced to the legacy JSON framing (an
-  old peer) against the binary-capable async server.
+Every client and server speaks one wire format — the binary frame with
+its CRC trailer, from the first frame of every connection — so the RPC
+suite runs one pairing, ``binary-binary``: the pooled sync client
+against the async server.  ``TestOneWire`` pins that contract down at
+the byte level.
 """
 
 import asyncio
@@ -21,8 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import faults
-from repro.faults import FaultRule
 from repro.transport.aio import AsyncRpcClient
 from repro.transport.tcp import (
     MAX_HEADER,
@@ -30,11 +23,12 @@ from repro.transport.tcp import (
     RpcClient,
     RpcError,
     RpcServer,
-    ThreadedRpcServer,
-    recv_frame,
-    send_frame,
+    _Conn,
+    _conn_recv_frame,
+    _conn_send_frame,
 )
 from repro.transport.wire import (
+    FLAG_CRC,
     MAGIC,
     PREAMBLE,
     PREAMBLE_SIZE,
@@ -45,16 +39,9 @@ from repro.transport.wire import (
     decode_fields,
 )
 
-# (server engine, forced client wire) per skew; None = negotiate.
-SKEWS = [
-    pytest.param(("async", None), id="binary-binary"),
-    pytest.param(("threaded", None), id="binary-json"),
-    pytest.param(("async", "json"), id="json-binary"),
-]
 
-
-def _make_server(engine: str = "async", host: str = "127.0.0.1", port: int = 0):
-    server = (RpcServer if engine == "async" else ThreadedRpcServer)(host, port)
+def _make_server(host: str = "127.0.0.1", port: int = 0):
+    server = RpcServer(host, port)
     server.register("echo", lambda header, payload: ({"echo": header.get("msg")}, payload))
 
     def boom(header, payload):
@@ -69,30 +56,37 @@ def _make_server(engine: str = "async", host: str = "127.0.0.1", port: int = 0):
     return server
 
 
-@pytest.fixture(params=SKEWS)
-def skew(request):
-    return request.param
-
-
-@pytest.fixture()
-def echo_server(skew):
-    with _make_server(skew[0]) as server:
+@pytest.fixture(params=[pytest.param("binary-binary", id="binary-binary")])
+def echo_server(request):
+    with _make_server() as server:
         yield server
 
 
 @pytest.fixture()
-def echo_client(echo_server, skew):
-    client = RpcClient(*echo_server.address, wire=skew[1])
+def echo_client(echo_server):
+    client = RpcClient(*echo_server.address)
     yield client
     client.close()
+
+
+def _send(sock, header, payload=b""):
+    _conn_send_frame(_Conn(sock), header, payload)
+
+
+def _recv(sock):
+    return _conn_recv_frame(_Conn(sock))
+
+
+def _preamble(fields_len, payload_len=0, flags=FLAG_CRC, magic=MAGIC):
+    return PREAMBLE.pack(magic, WIRE_VERSION, flags, 0, fields_len, payload_len)
 
 
 class TestFraming:
     def test_roundtrip_over_socketpair(self):
         a, b = socket.socketpair()
         try:
-            send_frame(a, {"op": "x", "n": 3}, b"payload")
-            header, payload = recv_frame(b)
+            _send(a, {"op": "x", "n": 3}, b"payload")
+            header, payload = _recv(b)
             assert header["op"] == "x"
             assert header["n"] == 3
             assert payload == b"payload"
@@ -103,8 +97,8 @@ class TestFraming:
     def test_empty_payload(self):
         a, b = socket.socketpair()
         try:
-            send_frame(a, {"op": "x"})
-            header, payload = recv_frame(b)
+            _send(a, {"op": "x"})
+            header, payload = _recv(b)
             assert payload == b""
             assert header["payload_len"] == 0
         finally:
@@ -113,19 +107,19 @@ class TestFraming:
 
     def test_eof_mid_frame_raises(self):
         a, b = socket.socketpair()
-        a.sendall(b"\x00\x00\x00\x10partial")
+        a.sendall(_preamble(fields_len=16) + b"partial")
         a.close()
         with pytest.raises(FrameError):
-            recv_frame(b)
+            _recv(b)
         b.close()
 
     def test_garbage_header_raises(self):
         a, b = socket.socketpair()
-        bad = b"not json!!"
-        a.sendall(len(bad).to_bytes(4, "big") + bad)
+        bad = b"not a table"
+        a.sendall(_preamble(fields_len=len(bad)) + bad + b"\x00\x00\x00\x00")
         a.close()
-        with pytest.raises(FrameError):
-            recv_frame(b)
+        with pytest.raises(FrameError, match="bad frame header"):
+            _recv(b)
         b.close()
 
     @given(
@@ -137,8 +131,8 @@ class TestFraming:
     def test_any_header_payload_roundtrips(self, msg, payload, extra):
         a, b = socket.socketpair()
         try:
-            send_frame(a, {"op": "t", "msg": msg, "extra": extra}, payload)
-            header, got = recv_frame(b)
+            _send(a, {"op": "t", "msg": msg, "extra": extra}, payload)
+            header, got = _recv(b)
             assert header["msg"] == msg
             assert header["extra"] == extra
             assert got == payload
@@ -169,12 +163,12 @@ class TestRpc:
             echo_client.call("typed")
         assert exc_info.value.kind == "custom-kind"
 
-    def test_concurrent_clients(self, echo_server, skew):
+    def test_concurrent_clients(self, echo_server):
         errors = []
 
         def worker(n):
             try:
-                with RpcClient(*echo_server.address, wire=skew[1]) as client:
+                with RpcClient(*echo_server.address) as client:
                     for i in range(20):
                         reply, _ = client.call("echo", {"msg": f"{n}:{i}"})
                         assert reply["echo"] == f"{n}:{i}"
@@ -214,51 +208,58 @@ class TestRpc:
 
 class TestFramingEdgeCases:
     def test_oversized_header_raises(self):
+        """A field table past MAX_HEADER fails at the preamble, at once."""
         a, b = socket.socketpair()
+        b.settimeout(5.0)  # a regression would park here instead of raising
         try:
-            a.sendall((MAX_HEADER + 1).to_bytes(4, "big"))
+            a.sendall(_preamble(fields_len=MAX_HEADER + 1))
+            t0 = time.perf_counter()
             with pytest.raises(FrameError, match="exceeds maximum"):
-                recv_frame(b)
+                _recv(b)
+            assert time.perf_counter() - t0 < 1.0
         finally:
             a.close()
             b.close()
 
-    def test_header_without_payload_len_raises(self):
+    def test_json_style_frame_raises(self):
         a, b = socket.socketpair()
         try:
-            raw = b'{"op": "x"}'
+            raw = b'{"op": "x", "payload_len": 0}'
             a.sendall(len(raw).to_bytes(4, "big") + raw)
-            with pytest.raises(FrameError, match="payload_len"):
-                recv_frame(b)
+            with pytest.raises(FrameError, match="magic"):
+                _recv(b)
         finally:
             a.close()
             b.close()
 
-    def test_non_object_header_raises(self):
+    def test_frame_without_crc_flag_raises(self):
         a, b = socket.socketpair()
         try:
-            raw = b"[1, 2, 3]"  # valid JSON, wrong shape
-            a.sendall(len(raw).to_bytes(4, "big") + raw)
-            with pytest.raises(FrameError):
-                recv_frame(b)
+            scratch = bytearray()
+            build_binary_frame(scratch, {"op": "x"}, 0)
+            scratch[2] = 0  # clear FLAG_CRC; no trailer follows
+            a.sendall(scratch)
+            with pytest.raises(FrameError, match="flags"):
+                _recv(b)
         finally:
             a.close()
             b.close()
 
     def test_truncated_payload_raises(self):
         a, b = socket.socketpair()
-        raw = b'{"op": "x", "payload_len": 100}'
-        a.sendall(len(raw).to_bytes(4, "big") + raw + b"only ten b")
+        scratch = bytearray()
+        build_binary_frame(scratch, {"op": "x"}, 100)
+        a.sendall(bytes(scratch) + b"only ten b")
         a.close()  # peer disconnects mid-payload
         with pytest.raises(FrameError, match="outstanding"):
-            recv_frame(b)
+            _recv(b)
         b.close()
 
     def test_bytes_like_payloads_accepted(self):
         a, b = socket.socketpair()
         try:
-            send_frame(a, {"op": "x"}, memoryview(bytearray(b"view")))
-            _, payload = recv_frame(b)
+            _send(a, {"op": "x"}, memoryview(bytearray(b"view")))
+            _, payload = _recv(b)
             assert payload == b"view"
         finally:
             a.close()
@@ -360,15 +361,16 @@ class TestPooledClient:
                 except OSError:
                     return
                 try:
-                    header, payload = recv_frame(conn)
+                    header, payload = _recv(conn)
                     if first:
                         first = False
                         # Half a frame, then hang up mid-payload.
-                        raw = b'{"ok": true, "payload_len": 50}'
-                        conn.sendall(len(raw).to_bytes(4, "big") + raw + b"short")
+                        scratch = bytearray()
+                        build_binary_frame(scratch, {"ok": True}, 50)
+                        conn.sendall(bytes(scratch) + b"short")
                         conn.close()
                         continue
-                    send_frame(conn, {"ok": True, "echo": header.get("msg")}, b"")
+                    _send(conn, {"ok": True, "echo": header.get("msg")})
                     conn.close()
                 except (FrameError, OSError):
                     conn.close()
@@ -394,7 +396,7 @@ class TestPooledClient:
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(min_value=-(2**48), max_value=2**48),
+    st.integers(),
     st.floats(allow_nan=False, allow_infinity=False),
     st.text(max_size=60),
     st.binary(max_size=60),
@@ -442,14 +444,9 @@ class TestBinaryCodec:
         assert opid != 0
         assert b"gb.read" not in bytes(scratch)
 
-    def test_binary_header_beats_json_for_known_ops(self):
-        header = {"op": "gb.read", "name": "s", "reader_id": "r1", "offset": 0, "length": 65536}
-        bin_scratch, json_scratch = bytearray(), bytearray()
-        build_binary_frame(bin_scratch, header, 65536)
-        from repro.transport.wire import build_json_frame
-
-        build_json_frame(json_scratch, header, 65536)
-        assert len(bin_scratch) < len(json_scratch)
+    @pytest.mark.parametrize("value", [2**63 - 1, 2**63, 2**64, -(2**63), -(2**63) - 1, -(2**64)])
+    def test_ints_beyond_64_bits_roundtrip(self, value):
+        assert _binary_roundtrip({"op": "gb.read", "offset": value}, 0)["offset"] == value
 
     def test_trailing_garbage_rejected(self):
         scratch = bytearray()
@@ -463,143 +460,132 @@ class TestBinaryCodec:
 
 
 # ---------------------------------------------------------------------------
-# Codec negotiation across peer versions
+# One wire: binary + CRC from the first frame, nothing else served
 # ---------------------------------------------------------------------------
 
 
-class TestWireNegotiation:
-    def test_pins_binary_against_async_server(self):
-        with _make_server("async") as server, RpcClient(*server.address) as client:
-            assert client._codec is None
-            reply, _ = client.call("echo", {"msg": "hi"})
-            assert reply["echo"] == "hi"
-            # A new server advertises CRC alongside binary framing, so
-            # the default negotiation pins checksummed binary frames.
-            assert client._codec == "binary+crc"
-            blob = b"x" * 100_000
-            _, got = client.call("echo", {}, blob)
-            assert got == blob
+def _capture_first_frame(issue_call) -> bytes:
+    """Bytes a fresh client writes first, read on a raw listening socket.
 
-    def test_crc_opt_out_pins_plain_binary(self):
-        with _make_server("async") as server, RpcClient(*server.address, crc=False) as client:
-            client.call("echo", {"msg": "hi"})
-            assert client._codec == "binary"
+    ``issue_call(addr)`` makes one call against ``addr``; the listener
+    hangs up after reading a preamble, so the call fails and returns.
+    """
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(5.0)
+    got = {}
 
-    def test_pins_json_against_threaded_server(self):
-        with _make_server("threaded") as server, RpcClient(*server.address) as client:
-            reply, _ = client.call("echo", {"msg": "old"})
-            assert reply["echo"] == "old"
-            assert client._codec == "json"
-            # Stays pinned — no repeated probing.
-            client.call("echo", {"msg": "again"})
-            assert client._codec == "json"
+    def serve():
+        conn, _ = listener.accept()
+        conn.settimeout(5.0)
+        data = b""
+        while len(data) < PREAMBLE_SIZE:
+            chunk = conn.recv(4096)
+            if not chunk:
+                break
+            data += chunk
+        got["data"] = data
+        conn.close()
 
-    def test_forced_wire_skips_negotiation(self):
-        with _make_server("async") as server:
-            with RpcClient(*server.address, wire="json") as client:
-                assert client._codec == "json"
-                reply, _ = client.call("echo", {"msg": "j"})
-                assert reply["echo"] == "j"
-                assert client._codec == "json"
-            with RpcClient(*server.address, wire="binary") as client:
-                reply, _ = client.call("echo", {"msg": "b"})
-                assert reply["echo"] == "b"
-                assert client._codec == "binary"
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    try:
+        issue_call(listener.getsockname())
+    except (OSError, FrameError):
+        pass
+    t.join(5.0)
+    listener.close()
+    return got["data"]
 
-    def test_env_var_forces_wire(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "json")
-        with _make_server("async") as server, RpcClient(*server.address) as client:
-            client.call("echo", {"msg": "e"})
-            assert client._codec == "json"
 
-    def test_bad_wire_value_rejected(self):
-        with pytest.raises(ValueError, match="wire"):
-            RpcClient("127.0.0.1", 1, wire="msgpack")
+def _assert_binary_crc(raw: bytes) -> None:
+    magic, version, flags, _opid, _flen, _plen = PREAMBLE.unpack_from(raw, 0)
+    assert magic == MAGIC
+    assert version == WIRE_VERSION
+    assert flags == FLAG_CRC
 
-    def test_probe_header_is_not_leaked_to_handlers(self):
-        seen = {}
+
+def _served_closed(server, raw: bytes) -> bytes:
+    """Write ``raw`` on a fresh connection; return what the server sends."""
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        sock.sendall(raw)
+        return sock.recv(4096)
+
+
+class TestOneWire:
+    def test_sync_client_first_frame_is_binary_with_crc(self):
+        def call(addr):
+            with RpcClient(*addr, timeout=5.0) as client:
+                client.call("echo", {"msg": "hi"}, retryable=False)
+
+        _assert_binary_crc(_capture_first_frame(call))
+
+    def test_async_client_first_frame_is_binary_with_crc(self):
+        def call(addr):
+            async def go():
+                client = AsyncRpcClient(*addr, timeout=5.0)
+                try:
+                    await client.call("echo", {"msg": "hi"}, retryable=False)
+                finally:
+                    await client.close()
+
+            asyncio.run(go())
+
+        _assert_binary_crc(_capture_first_frame(call))
+
+    @pytest.fixture()
+    def spied_server(self):
         server = RpcServer()
+        server.served = []
+        server.register("echo", lambda h, p: (server.served.append(h) or {}, p))
+        with server:
+            yield server
 
-        def spy(header, payload):
-            seen.update(header)
-            return {}, b""
+    def test_server_closes_on_json_style_frame(self, spied_server):
+        raw = b'{"op":"echo","payload_len":0}'
+        assert raw[:1] != bytes([MAGIC])
+        assert _served_closed(spied_server, len(raw).to_bytes(4, "big") + raw) == b""
+        assert spied_server.served == []
 
-        server.register("spy", spy)
-        with server, RpcClient(*server.address) as client:
-            reply, _ = client.call("spy", {"msg": "x"})
-            assert "_wire" not in reply
-        assert seen.get("msg") == "x"
+    def test_server_closes_on_frame_without_crc(self, spied_server):
+        scratch = bytearray()
+        build_binary_frame(scratch, {"op": "echo"}, 4)
+        scratch[2] = 0  # clear FLAG_CRC and send no trailer
+        assert _served_closed(spied_server, bytes(scratch) + b"data") == b""
+        assert spied_server.served == []
 
-    def test_demotes_after_peer_downgrade(self):
-        """A binary-pinned client recovers against a JSON-only rebind."""
-        server = _make_server("async").start()
-        host, port = server.address
-        client = RpcClient(host, port)
+    def test_server_closes_on_oversized_field_table(self, spied_server):
+        t0 = time.perf_counter()
+        assert _served_closed(spied_server, _preamble(fields_len=MAX_HEADER + 1)) == b""
+        assert time.perf_counter() - t0 < 1.0
+        assert spied_server.served == []
+
+    def test_sync_client_rejects_oversized_field_table(self):
+        """A reply preamble claiming a huge table fails now, not at timeout."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        done = threading.Event()
+
+        def serve():
+            conn, _ = listener.accept()
+            conn.recv(4096)
+            conn.sendall(_preamble(fields_len=MAX_HEADER + 1))
+            done.wait(10.0)  # hold the connection open
+            conn.close()
+
+        threading.Thread(target=serve, daemon=True).start()
+        client = RpcClient(*listener.getsockname(), timeout=5.0)
         try:
-            client.call("echo", {"msg": "1"})
-            assert client._codec == "binary+crc"
-            server.stop()
-            server.disconnect_all()
-            with _make_server("threaded", host, port) as old:
-                assert old.address == (host, port)
-                reply, _ = client.call("echo", {"msg": "2"}, retryable=True)
-                assert reply["echo"] == "2"
-                assert client._codec == "json"
+            t0 = time.perf_counter()
+            with pytest.raises(FrameError, match="exceeds maximum"):
+                client.call("echo", retryable=False)
+            assert time.perf_counter() - t0 < 1.0
         finally:
+            done.set()
             client.close()
-
-
-@pytest.mark.faults
-class TestNegotiationFaults:
-    """Fault injection mid-negotiation: the probe must never mis-pin."""
-
-    @pytest.fixture(autouse=True)
-    def _disarmed(self):
-        faults.disarm()
-        yield
-        faults.disarm()
-
-    def test_probe_survives_connection_reset(self):
-        with _make_server("async") as server, RpcClient(*server.address) as client:
-            with faults.injected(
-                FaultRule(layer="rpc.server", op="echo", action="close", nth=1, times=1)
-            ):
-                reply, _ = client.call("echo", {"msg": "hi"}, retryable=True)
-            assert reply["echo"] == "hi"
-            assert client._codec == "binary+crc"
-
-    def test_probe_survives_dropped_request(self):
-        with _make_server("async") as server, RpcClient(*server.address) as client:
-            with faults.injected(
-                FaultRule(layer="rpc.server", op="echo", action="drop", nth=1, times=1)
-            ):
-                reply, _ = client.call("echo", {"msg": "hi"}, retryable=True)
-            assert reply["echo"] == "hi"
-            assert client._codec == "binary+crc"
-
-    def test_injected_error_reply_still_pins_binary(self):
-        """An injected-fault *reply* to the probe still advertises binary."""
-        with _make_server("async") as server, RpcClient(*server.address) as client:
-            with faults.injected(
-                FaultRule(layer="rpc.server", op="echo", action="error", nth=1, times=1)
-            ):
-                with pytest.raises(RpcError) as exc_info:
-                    client.call("echo", {"msg": "hi"})
-            assert exc_info.value.kind == "injected-fault"
-            assert client._codec == "binary+crc"
-            reply, _ = client.call("echo", {"msg": "again"})
-            assert reply["echo"] == "again"
-
-    def test_pinned_binary_rechecks_after_connection_loss(self):
-        with _make_server("async") as server, RpcClient(*server.address) as client:
-            client.call("echo", {"msg": "pin"})
-            assert client._codec == "binary+crc"
-            with faults.injected(
-                FaultRule(layer="rpc.server", op="echo", action="close", nth=1, times=1)
-            ):
-                reply, _ = client.call("echo", {"msg": "after"}, retryable=True)
-            assert reply["echo"] == "after"
-            assert client._codec == "binary+crc"
+            listener.close()
 
 
 # ---------------------------------------------------------------------------
@@ -624,43 +610,69 @@ class TestAsyncServerHandlers:
             assert data == b"p"
 
     def test_restart_rebinds_same_port(self):
-        server = _make_server("async").start()
+        server = _make_server().start()
         host, port = server.address
         try:
             server.stop()
-            again = _make_server("async", host, port)
+            again = _make_server(host, port)
             with again, RpcClient(host, port) as client:
                 assert client.call("echo", {"msg": "back"})[0]["echo"] == "back"
         finally:
             server.stop()
 
+    def test_crash_leaves_no_connection_silent(self):
+        """Connections racing stop() + disconnect_all() never hang.
+
+        Every connection whose handshake completed is either answered
+        or failed at once; none may sit accepted but unserved, which
+        would park its client until the IO timeout across a restart.
+        """
+        silent = 0
+        for _ in range(3):
+            server = _make_server().start()
+            socks, stop = [], threading.Event()
+
+            def dial(addr=server.address):
+                while not stop.is_set():
+                    try:
+                        socks.append(socket.create_connection(addr, timeout=1.0))
+                    except OSError:
+                        return
+
+            dialers = [threading.Thread(target=dial) for _ in range(4)]
+            for t in dialers:
+                t.start()
+            time.sleep(0.02)
+            server.stop()
+            server.disconnect_all()
+            stop.set()
+            for t in dialers:
+                t.join()
+            for sock in socks:
+                try:
+                    _send(sock, {"op": "echo", "msg": "x"})
+                    _recv(sock)
+                except socket.timeout:
+                    silent += 1
+                except (OSError, FrameError):
+                    pass
+                finally:
+                    sock.close()
+        assert silent == 0
+
 
 class TestAsyncRpcClient:
-    def test_echo_and_negotiation(self):
+    def test_echo(self):
         async def go(addr):
             client = AsyncRpcClient(*addr)
             try:
                 reply, data = await client.call("echo", {"msg": "hi"}, b"abc")
                 assert reply["echo"] == "hi"
                 assert data == b"abc"
-                assert client._codec == "binary+crc"
             finally:
                 await client.close()
 
-        with _make_server("async") as server:
-            asyncio.run(go(server.address))
-
-    def test_negotiates_json_against_threaded_server(self):
-        async def go(addr):
-            client = AsyncRpcClient(*addr)
-            try:
-                reply, _ = await client.call("echo", {"msg": "old"})
-                assert reply["echo"] == "old"
-                assert client._codec == "json"
-            finally:
-                await client.close()
-
-        with _make_server("threaded") as server:
+        with _make_server() as server:
             asyncio.run(go(server.address))
 
     def test_error_reply_raises(self):
@@ -673,7 +685,7 @@ class TestAsyncRpcClient:
             finally:
                 await client.close()
 
-        with _make_server("async") as server:
+        with _make_server() as server:
             asyncio.run(go(server.address))
 
     def test_many_concurrent_clients_one_loop(self):
@@ -690,6 +702,6 @@ class TestAsyncRpcClient:
         async def go(addr):
             return await asyncio.gather(*(one(addr, i) for i in range(64)))
 
-        with _make_server("async") as server:
+        with _make_server() as server:
             results = asyncio.run(go(server.address))
         assert results == [f"m{i}" for i in range(64)]
