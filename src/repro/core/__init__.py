@@ -25,7 +25,7 @@ from .modes import BufferEndpoint, GnsRecord, IOMode
 from .multiplexer import FileMultiplexer, FMError, FMFile, GridContext, OpenStats
 from .policy import AccessEstimate, AccessPolicy, RemoteDecision, observed_estimate
 from .remote_client import CopyInOutFile, RemoteFileClient, RemoteProxyFile
-from .remote_io import BlockCache, BlockPrefetcher, WriteCoalescer
+from .remote_io import BlockCache, ReadAheadWindow, RunBatcher
 from .replica import NoReplicaError, ReplicaChoice, ReplicaSelector
 from .trace import FmTracer, TraceEvent, TransferMonitor, TransferSample
 from .translating import TranslatingReader, TranslatingWriter
@@ -67,7 +67,7 @@ __all__ = [
     "TransferMonitor",
     "TransferSample",
     "BlockCache",
-    "BlockPrefetcher",
-    "WriteCoalescer",
+    "ReadAheadWindow",
+    "RunBatcher",
     "observed_estimate",
 ]

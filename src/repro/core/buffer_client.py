@@ -21,6 +21,11 @@ from ..gns.records import BufferEndpoint
 
 __all__ = ["GridBufferClientPool"]
 
+#: Writer batch size: WRITE calls coalesce into vectored RPCs this big.
+COALESCE_BYTES = 64 * 1024
+#: Windowed read RPCs kept in flight per reader.
+READ_AHEAD_DEPTH = 4
+
 
 class GridBufferClientPool:
     """Pool of :class:`GridBufferClient` keyed by server address."""
@@ -57,9 +62,9 @@ class GridBufferClientPool:
         endpoint: BufferEndpoint,
         server: Tuple[str, int],
         write_timeout: Optional[float] = None,
-        coalesce_bytes: int = 0,
-        flush_after: Optional[float] = None,
     ) -> BufferWriter:
+        """Writer batching WRITE calls into 64 KiB vectored RPCs, each
+        batch pushed within the default 20 ms flush deadline."""
         client = self.client_for(*server)
         return client.open_writer(
             endpoint.stream,
@@ -67,8 +72,7 @@ class GridBufferClientPool:
             capacity_bytes=endpoint.capacity_bytes,
             cache=endpoint.cache,
             write_timeout=write_timeout,
-            coalesce_bytes=coalesce_bytes,
-            flush_after=flush_after,
+            coalesce_bytes=COALESCE_BYTES,
         )
 
     def open_reader(
@@ -77,10 +81,9 @@ class GridBufferClientPool:
         server: Tuple[str, int],
         reader_id: Optional[str] = None,
         read_timeout: Optional[float] = None,
-        read_ahead: bool = False,
-        read_ahead_depth: int = 4,
-        shared_cache: Optional[bool] = None,
     ) -> BufferReader:
+        """Reader with a depth-4 read-ahead window; co-located readers
+        of a broadcast stream (``n_readers > 1``) share fetched blocks."""
         client = self.client_for(*server)
         # The stream may not exist yet if the reader opens first: create
         # it with the endpoint's declared config (create is idempotent).
@@ -90,17 +93,13 @@ class GridBufferClientPool:
             capacity_bytes=endpoint.capacity_bytes,
             cache=endpoint.cache,
         )
-        rid = reader_id or f"{self.machine}:{endpoint.stream}"
-        if shared_cache is None:
-            # Dedup fetches only when the stream actually broadcasts.
-            shared_cache = endpoint.n_readers > 1
         return client.open_reader(
             endpoint.stream,
-            reader_id=rid,
+            reader_id=reader_id or f"{self.machine}:{endpoint.stream}",
             read_timeout=read_timeout,
-            read_ahead=read_ahead,
-            read_ahead_depth=read_ahead_depth,
-            shared_cache=shared_cache,
+            read_ahead=True,
+            read_ahead_depth=READ_AHEAD_DEPTH,
+            shared_cache=endpoint.n_readers > 1,
         )
 
     def close(self) -> None:

@@ -154,20 +154,6 @@ class GridContext:
     prefetch: bool = True
     #: Parallel TCP streams for bulk copies (fetch and store).
     parallel_streams: int = 1
-    #: Pipeline Grid Buffer reads through an adaptive read-ahead window.
-    buffer_readahead: bool = True
-    #: Maximum windowed read RPCs kept in flight per buffered reader.
-    buffer_readahead_depth: int = 4
-    #: Coalesce Grid Buffer writes into batches of this many bytes.
-    #: Safe by default: the writer's flush deadline bounds how long a
-    #: partial batch stays local (0 = write-through per WRITE call).
-    buffer_coalesce_bytes: int = 64 * 1024
-    #: Upper bound (seconds) on coalesced-write visibility lag; None
-    #: uses REPRO_BUFFER_FLUSH_DEADLINE (default 20 ms).
-    buffer_flush_deadline: Optional[float] = None
-    #: Share fetched blocks between co-located readers of one broadcast
-    #: stream (None = auto: enabled when the endpoint has >1 readers).
-    buffer_shared_cache: Optional[bool] = None
     #: Subscribe to GNS changes and live-migrate open read streams
     #: between IO modes mid-run (COPY↔BUFFER and friends) when their
     #: records are edited.  Off by default: resolve-at-open only.
@@ -647,20 +633,11 @@ class FileMultiplexer:
             server = self._locate_buffer(endpoint, role)
             if role == "writer":
                 inner = self._buffer_pool.open_writer(
-                    endpoint,
-                    server,
-                    write_timeout=self.ctx.io_timeout,
-                    coalesce_bytes=self.ctx.buffer_coalesce_bytes,
-                    flush_after=self.ctx.buffer_flush_deadline,
+                    endpoint, server, write_timeout=self.ctx.io_timeout
                 )
             else:
                 inner = self._buffer_pool.open_reader(
-                    endpoint,
-                    server,
-                    read_timeout=self.ctx.io_timeout,
-                    read_ahead=self.ctx.buffer_readahead,
-                    read_ahead_depth=self.ctx.buffer_readahead_depth,
-                    shared_cache=self.ctx.buffer_shared_cache,
+                    endpoint, server, read_timeout=self.ctx.io_timeout
                 )
         except (OSError, RpcError) as exc:
             if record.fallback is None:
@@ -812,12 +789,7 @@ class FileMultiplexer:
             assert endpoint is not None  # enforced by GnsRecord validation
             server = self._locate_buffer(endpoint, "reader")
             return self._buffer_pool.open_reader(
-                endpoint,
-                server,
-                read_timeout=self.ctx.io_timeout,
-                read_ahead=self.ctx.buffer_readahead,
-                read_ahead_depth=self.ctx.buffer_readahead_depth,
-                shared_cache=self.ctx.buffer_shared_cache,
+                endpoint, server, read_timeout=self.ctx.io_timeout
             )
         raise FMError(f"live migration to mode {record.mode.value!r} is unsupported")
 

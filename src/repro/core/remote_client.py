@@ -9,8 +9,8 @@ Section 3.1 describes the two remote strategies the FM can choose:
 * **proxy** — "the FM can access the file on the remote machine using a
   proxy file server" (our GridFTP-like block server).  Implemented by
   :class:`RemoteProxyFile`, a file-like object that fetches blocks on
-  demand, pipelines sequential reads through a background prefetcher,
-  and coalesces small sequential writes into block-sized RPCs.
+  demand, pipelines sequential reads through a read-ahead window, and
+  batches small sequential writes into block-sized RPCs.
 """
 
 from __future__ import annotations
@@ -19,21 +19,25 @@ import io
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from .. import ioutil, obs
 from ..ioutil import ReadIntoFromRead
 from ..transport.gridftp import DEFAULT_BLOCK, GridFtpClient
-from .remote_io import BlockCache, BlockPrefetcher, WriteCoalescer
+from ..transport.tcp import RpcClient
+from .remote_io import BlockCache, ReadAheadWindow, RunBatcher
 
 __all__ = ["RemoteProxyFile", "CopyInOutFile", "RemoteFileClient"]
 
-#: Prefetch window bounds: start at MIN once sequential access is
-#: detected, double on every pipeline hit up to MAX.
-MIN_PREFETCH_WINDOW = 2
-MAX_PREFETCH_WINDOW = 16
-#: RPC connections (— concurrent in-flight blocks) per prefetcher.
+#: Read-ahead requests kept in flight per proxy file (one worker each).
 DEFAULT_PREFETCH_STREAMS = 4
+
+_PREFETCH_RPCS = obs.counter(
+    "fm_prefetch_rpcs_total", "Block RPCs issued by background prefetch channels"
+)
+_WRITE_FLUSHES = obs.counter(
+    "fm_write_flushes_total", "Block flushes issued by write-behind coalescers"
+)
 
 
 class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
@@ -42,16 +46,19 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
     Reads fetch ``block_size``-aligned blocks through a shared
     :class:`~repro.core.remote_io.BlockCache`.  Once two consecutive
     blocks have been read (sequential access detected) a
-    :class:`~repro.core.remote_io.BlockPrefetcher` keeps an adaptive
-    window of upcoming blocks in flight on ``prefetch_streams``
-    dedicated RPC connections, so a sequential legacy read loop never
-    stalls on a round trip.  Writes
-    are coalesced write-behind into block-sized ``put_block`` RPCs,
-    flushed on seek/flush/close (and before any overlapping read).
+    :class:`~repro.core.remote_io.ReadAheadWindow` keeps up to
+    ``prefetch_streams`` upcoming blocks in flight on a dedicated RPC
+    channel, so a sequential legacy read loop never stalls on a round
+    trip; a block the window delivers enters the cache as it is read.
+    Writes go write-behind through a
+    :class:`~repro.core.remote_io.RunBatcher` as block-sized
+    ``put_block`` RPCs, flushed on seek/flush/close (and before any
+    read).
 
     Observable counters: ``rpc_reads`` (demand RPCs this handle
-    issued), ``prefetch_hits`` (reads served by the pipeline) and
-    ``prefetch_wasted`` (prefetched blocks never consumed).
+    issued), ``prefetch_hits`` (reads served by the pipeline),
+    ``prefetch_wasted`` (prefetched blocks never consumed) and
+    ``put_rpcs`` (block writes issued).
     """
 
     def __init__(
@@ -63,7 +70,6 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
         cache_blocks: int = 8,
         cache: Optional[BlockCache] = None,
         prefetch: bool = True,
-        max_prefetch_window: int = MAX_PREFETCH_WINDOW,
         prefetch_streams: int = DEFAULT_PREFETCH_STREAMS,
     ):
         super().__init__()
@@ -78,16 +84,15 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
         self._size_cache: Optional[int] = None
         self.rpc_reads = 0  # demand RPCs issued by this handle
         self.prefetch_hits = 0
+        self.put_rpcs = 0
         # -- pipeline state --
         self._prefetch_enabled = prefetch
-        self._prefetcher: Optional[BlockPrefetcher] = None
-        self._prefetch_channels: list = []
         self._prefetch_streams = max(1, prefetch_streams)
-        self._max_window = max(MIN_PREFETCH_WINDOW, max_prefetch_window)
-        self._window = MIN_PREFETCH_WINDOW
+        self._window: Optional[ReadAheadWindow] = None
+        self._channel: Optional[RpcClient] = None
         self._last_block: Optional[int] = None
         self._streak = 0
-        self._coalescer = WriteCoalescer(self._flush_run, block_size) if writable else None
+        self._batcher = RunBatcher(self._flush_runs, block_size) if writable else None
 
     # -- capabilities ----------------------------------------------------------
     def readable(self) -> bool:
@@ -102,11 +107,8 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
     @property
     def prefetch_wasted(self) -> int:
         """Prefetched blocks (across the shared cache) never consumed."""
-        return self._cache.prefetch_wasted
-
-    @property
-    def put_rpcs(self) -> int:
-        return self._coalescer.flushes if self._coalescer is not None else 0
+        live = self._window.wasted if self._window is not None else 0
+        return self._cache.prefetch_wasted + live
 
     # -- geometry ----------------------------------------------------------
     def _size(self, refresh: bool = False) -> int:
@@ -128,11 +130,10 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
             raise ValueError("negative seek position")
         if new_pos // self._block_size != self._pos // self._block_size:
             # Jumping out of the current block breaks the sequential
-            # run: shrink the window and drop queued read-ahead.
+            # run: collapse the window and drop queued read-ahead.
             self._streak = 0
-            self._window = MIN_PREFETCH_WINDOW
-            if self._prefetcher is not None:
-                self._prefetcher.cancel_queued()
+            if self._window is not None:
+                self._window.discard()
         self._pos = new_pos
         return self._pos
 
@@ -140,26 +141,12 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
         return self._pos
 
     # -- pipeline ----------------------------------------------------------
-    def _ensure_prefetcher(self) -> BlockPrefetcher:
-        if self._prefetcher is None:
-
-            def bind(channel):
-                def fetch(block_no: int) -> bytes:
-                    return self._client.read_block_via(
-                        channel, self._path, block_no * self._block_size, self._block_size
-                    )
-
-                return fetch
-
-            fetches = []
-            for _ in range(self._prefetch_streams):
-                channel = self._client.open_channel()
-                self._prefetch_channels.append(channel)
-                fetches.append(bind(channel))
-            self._prefetcher = BlockPrefetcher(
-                self._path, fetches, self._cache, name=f"fm-prefetch:{self._path}"
-            )
-        return self._prefetcher
+    def _prefetch(self, offset: int, length: int) -> Tuple[bytes, Optional[int]]:
+        """Window fetch: one ``get_block`` on the read-ahead channel."""
+        assert self._channel is not None
+        data = self._client.read_block_via(self._channel, self._path, offset, length)
+        _PREFETCH_RPCS.inc()
+        return data, None
 
     def _note_sequential(self, block_no: int, served_by_pipeline: bool) -> None:
         """Update the access-pattern detector and top up the window."""
@@ -170,42 +157,40 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
         self._last_block = block_no
         if not self._prefetch_enabled or self._streak < 2:
             return
+        if self._window is None:
+            self._channel = self._client.open_channel()
+            self._window = ReadAheadWindow(
+                self._prefetch,
+                self._block_size,
+                self._prefetch_streams,
+                name=f"fm-prefetch:{self._path}",
+                covered=lambda off: self._cache.contains(self._path, off // self._block_size),
+                cancel=self._channel.close_all,
+            )
         if served_by_pipeline:
-            self._window = min(self._window * 2, self._max_window)
-        prefetcher = self._ensure_prefetcher()
-        try:
-            nblocks = -(-self._size() // self._block_size)
-        except Exception:
-            nblocks = None
-        want = []
-        for ahead in range(1, self._window + 1):
-            nxt = block_no + ahead
-            if nblocks is not None and nxt >= nblocks:
-                break
-            want.append(nxt)
-        if want:
-            prefetcher.schedule(want)
+            self._window.note_hit()
+        self._window.note_eof(self._size())
+        self._window.schedule((block_no + 1) * self._block_size)
 
     # -- reads -----------------------------------------------------------
     def _fetch_block(self, block_no: int) -> bytes:
         data, pipelined = self._cache.fetch(self._path, block_no)
-        if data is not None:
-            if pipelined:
-                self.prefetch_hits += 1
-            self._note_sequential(block_no, served_by_pipeline=pipelined)
-            return data
-        if self._prefetcher is not None and self._prefetcher.claim(block_no, timeout=30.0):
-            data, _ = self._cache.fetch(self._path, block_no)
-            if data is not None:
-                self.prefetch_hits += 1
-                self._note_sequential(block_no, served_by_pipeline=True)
-                return data
-        data = self._client.read_block(
-            self._path, block_no * self._block_size, self._block_size
-        )
-        self.rpc_reads += 1
-        self._cache.put(self._path, block_no, data, prefetched=False)
-        self._note_sequential(block_no, served_by_pipeline=False)
+        if data is None and self._window is not None:
+            # Waits while the block is in flight instead of issuing a
+            # duplicate demand RPC.
+            taken = self._window.take(block_no * self._block_size)
+            if taken:
+                self._cache.put(self._path, block_no, taken, prefetched=True)
+                data, pipelined = self._cache.fetch(self._path, block_no)
+        if data is None:
+            data = self._client.read_block(
+                self._path, block_no * self._block_size, self._block_size
+            )
+            self.rpc_reads += 1
+            self._cache.put(self._path, block_no, data, prefetched=False)
+        elif pipelined:
+            self.prefetch_hits += 1
+        self._note_sequential(block_no, served_by_pipeline=pipelined)
         return data
 
     def read(self, size: int = -1) -> bytes:  # type: ignore[override]
@@ -227,36 +212,41 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
         return bytes(out)
 
     # -- writes -----------------------------------------------------------
-    def _flush_run(self, offset: int, data: bytes) -> None:
-        """Coalescer sink: one ``put_block`` RPC plus cache invalidation."""
-        self._client.write_block(self._path, offset, data)
+    def _invalidate(self, offset: int, length: int) -> None:
+        """Drop cached and read-ahead copies of ``[offset, offset+length)``."""
         first = offset // self._block_size
-        last = (offset + len(data) - 1) // self._block_size
+        last = (offset + length - 1) // self._block_size
         self._cache.invalidate(self._path, first, last)
-        if self._prefetcher is not None:
-            self._prefetcher.invalidate(first, last)
+        if self._window is not None:
+            self._window.invalidate(offset, offset + length)
         self._size_cache = None
 
+    def _flush_runs(self, runs: List[Tuple[int, bytes]]) -> None:
+        """Batcher sink: one ``put_block`` per block-sized run piece."""
+        for offset, data in runs:
+            for start in range(0, len(data), self._block_size):
+                self._client.write_block(
+                    self._path, offset + start, data[start : start + self._block_size]
+                )
+                self.put_rpcs += 1
+                _WRITE_FLUSHES.inc()
+            self._invalidate(offset, len(data))
+
     def _flush_writes(self) -> None:
-        if self._coalescer is not None:
-            self._coalescer.flush()
+        if self._batcher is not None:
+            self._batcher.flush()
 
     def write(self, data) -> int:  # type: ignore[override]
         if not self._writable:
             raise io.UnsupportedOperation("file not open for writing")
         data = bytes(data)
         if data:
-            assert self._coalescer is not None
+            assert self._batcher is not None
             # Invalidate eagerly so a prefetched copy of the old bytes
             # can't be served between this write and its flush.
-            first = self._pos // self._block_size
-            last = (self._pos + len(data) - 1) // self._block_size
-            self._cache.invalidate(self._path, first, last)
-            if self._prefetcher is not None:
-                self._prefetcher.invalidate(first, last)
-            self._coalescer.write(self._pos, data)
+            self._invalidate(self._pos, len(data))
+            self._batcher.write(self._pos, data)
             self._pos += len(data)
-            self._size_cache = None
         return len(data)
 
     def flush(self) -> None:  # type: ignore[override]
@@ -269,12 +259,13 @@ class RemoteProxyFile(ReadIntoFromRead, io.RawIOBase):
         try:
             self._flush_writes()
         finally:
-            if self._prefetcher is not None:
-                self._prefetcher.close()
-                self._prefetcher = None
-            for channel in self._prefetch_channels:
-                channel.close()
-            self._prefetch_channels.clear()
+            if self._window is not None:
+                self._window.close()
+                self._cache.note_wasted(self._window.wasted)
+                self._window = None
+            if self._channel is not None:
+                self._channel.close()
+                self._channel = None
             super().close()
 
 

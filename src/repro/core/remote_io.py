@@ -2,41 +2,41 @@
 
 The paper's buffer/proxy modes win on low-latency links because blocks
 are *pipelined* — the next block is already in flight while the
-application consumes the current one.  This module supplies the three
-mechanisms the FM's remote paths share to get that behaviour:
+application consumes the current one.  This module is the one place
+that mechanism lives; the GridFTP proxy (modes 3–5) and the Grid
+Buffer client (mode 6) both drive it:
 
+* :class:`ReadAheadWindow` — worker threads keep an adaptive number of
+  requests in flight ahead of the consumer's frontier.
+* :class:`RunBatcher` — a write-behind buffer that merges contiguous
+  writes into runs and pushes every pending run in one flush.
 * :class:`BlockCache` — a thread-safe LRU of ``(path, block_no)``
   blocks, shared by every proxy file opened through one
-  :class:`~repro.core.remote_client.RemoteFileClient`, with counters
-  distinguishing demand hits from prefetch hits and wasted prefetches.
-* :class:`BlockPrefetcher` — background threads that keep an adaptive
-  window of sequential blocks in flight on their *own* RPC
-  connections, so demand reads never queue behind read-ahead traffic.
-* :class:`WriteCoalescer` — a write-behind buffer that merges small
-  contiguous writes into block-sized flushes (one ``put_block`` RPC
-  per block instead of one per legacy WRITE call).
+  :class:`~repro.core.remote_client.RemoteFileClient`.
 
-None of these know about sockets directly: the prefetcher is handed a
-``fetch`` callable bound to a dedicated channel, and the coalescer a
-``flush`` callable, so the same machinery serves the GridFTP proxy
-path and (for coalescing) the Grid Buffer writer.
+None of these know about sockets or services: the window is handed a
+``fetch(offset, length)`` callable and the batcher a ``flush(runs)``
+callable, and each caller plugs its own behaviour in through them (the
+proxy fills its block cache; the Grid Buffer reader tries peers, acks
+a shared cache and stores origin hints).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
+from bisect import insort
+from collections import OrderedDict
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .. import obs
 
-__all__ = ["BlockCache", "BlockPrefetcher", "WriteCoalescer"]
+__all__ = ["BlockCache", "ReadAheadWindow", "RunBatcher"]
 
 BlockKey = Tuple[str, int]
 
-# Registry twins of the per-instance counters below: the instance
+# Registry twins of the BlockCache's per-instance counters: the instance
 # attributes stay (policy/benchmarks read them per cache), the registry
-# series aggregate across every cache/prefetcher/coalescer in process.
+# series aggregate across every proxy file in the process.
 _PREFETCH_HITS = obs.counter(
     "fm_prefetch_hits_total", "Reads served by a block the pipeline prefetched"
 )
@@ -45,15 +45,6 @@ _PREFETCH_WASTED = obs.counter(
 )
 _DEMAND_HITS = obs.counter(
     "fm_demand_hits_total", "Reads served by a previously demand-fetched cached block"
-)
-_PREFETCH_RPCS = obs.counter(
-    "fm_prefetch_rpcs_total", "Block RPCs issued by background prefetch channels"
-)
-_WRITE_FLUSHES = obs.counter(
-    "fm_write_flushes_total", "Block flushes issued by write-behind coalescers"
-)
-_WRITE_COALESCED = obs.counter(
-    "fm_write_coalesced_total", "WRITE calls absorbed into a pending run without an RPC"
 )
 _BLOCKS_CACHED = obs.gauge(
     "fm_blocks_cached", "Blocks currently resident across FM block caches"
@@ -165,204 +156,377 @@ class BlockCache:
             return len(self._entries)
 
 
-class _InFlight:
-    __slots__ = ("event", "stale")
+class ReadAheadWindow:
+    """Up to ``max_depth`` read-ahead requests in flight ahead of a reader.
 
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.stale = False
+    The owner calls :meth:`schedule` with its *frontier* (the first byte
+    it has not buffered); worker threads — one per in-flight request —
+    keep the window full of chunk-grid requests at/after it, each
+    served by ``fetch(offset, length) -> (data, total_or_None)``.  A
+    reply learns EOF from ``total`` or from being empty.  :meth:`take`
+    hands the consumer the result covering a position, waiting while
+    the request carrying it is still in flight.
 
+    Depth starts at 1, doubles on every :meth:`note_hit` (a read the
+    pipeline served) up to ``max_depth`` and falls back to 1 on
+    :meth:`discard` (a seek).  Given a link ``monitor``, the
+    bandwidth-delay product to ``peer`` picks the target depth
+    directly — the paper's latency-crossover argument applied to the
+    window size.
 
-class BlockPrefetcher:
-    """Keeps a window of upcoming blocks in flight on dedicated channels.
+    Callers plug their own behaviour in through small callables:
 
-    The owner (a proxy file) calls :meth:`schedule` with the block
-    numbers it expects to need next; background worker threads fetch
-    them through the ``fetch`` callables (each bound to its own RPC
-    connection — the strict request/reply framing allows one
-    outstanding RPC per connection, so in-flight depth equals the
-    number of workers) and deposit them in the shared
-    :class:`BlockCache` marked *prefetched*.  A reader about to
-    demand-fetch a block first calls :meth:`claim` — if that block is
-    in flight it waits for the pipeline instead of issuing a duplicate
-    RPC.
+    * ``chunk_rule()`` — request size to use (None keeps the current
+      one); consulted only while nothing is queued, in flight or held,
+      so an outstanding span is never partially duplicated under a new
+      grid;
+    * ``span_rule(offset, chunk)`` — width of the request at
+      ``offset`` (default ``chunk``); registered under the window lock,
+      so sibling workers skip the bytes a wide request carries;
+    * ``covered(offset)`` — another store already holds ``offset``: the
+      window neither requests it nor reports a failed fetch of it;
+    * ``cancel()`` — called by :meth:`close` after the workers are told
+      to stop, to unblock fetches parked in flight.
 
-    Writes call :meth:`invalidate` so an in-flight block dirtied under
-    the prefetcher is discarded on arrival (counted as wasted) rather
-    than poisoning the cache.
+    ``wasted`` counts fetched results dropped before any take used
+    them (dirtied, skipped by a seek, or outstanding at close).
     """
 
     def __init__(
         self,
-        path: str,
-        fetch: "Callable[[int], bytes] | Iterable[Callable[[int], bytes]]",
-        cache: BlockCache,
-        name: str = "fm-prefetch",
+        fetch: Callable[[int, int], Tuple[bytes, Optional[int]]],
+        chunk: int,
+        max_depth: int,
+        name: str = "read-ahead",
+        monitor: Optional[Any] = None,
+        peer: str = "",
+        chunk_rule: Optional[Callable[[], Optional[int]]] = None,
+        span_rule: Optional[Callable[[int, int], int]] = None,
+        covered: Optional[Callable[[int], bool]] = None,
+        cancel: Optional[Callable[[], None]] = None,
     ):
-        self._path = path
-        fetches = [fetch] if callable(fetch) else list(fetch)
-        if not fetches:
-            raise ValueError("at least one fetch callable required")
-        self._cache = cache
+        self._fetch = fetch
+        self._chunk = max(1, chunk)
+        self._max_depth = max(1, max_depth)
+        self._monitor = monitor
+        self._peer = peer
+        self._chunk_rule = chunk_rule
+        self._span_rule = span_rule
+        self._covered = covered
+        self._cancel = cancel
         self._cv = threading.Condition()
-        self._queue: Deque[int] = deque()
-        self._inflight: Dict[int, _InFlight] = {}
+        self._queue: List[int] = []  # wanted offsets, ascending
+        # In-flight requests: offset -> span.  Tracking the width keeps
+        # schedule() from double-requesting bytes a wide request carries.
+        self._inflight: Dict[int, int] = {}
+        # In-flight offsets dirtied by invalidate(): dropped on landing.
+        self._stale: Set[int] = set()
+        self._results: Dict[int, bytes] = {}
+        self._errors: Dict[int, BaseException] = {}
+        self._eof_at: Optional[int] = None
+        self._depth = 1
+        self._frontier = 0
         self._stopped = False
-        self.rpc_reads = 0  # RPCs issued by the prefetch channels
+        self.wasted = 0
+        # Fetches issued by worker threads should parent under whatever
+        # span opened the reader (the task, usually) — capture the
+        # constructing thread's context for re-attachment.
+        self._trace_ctx = obs.current_context()
         self._threads = [
-            threading.Thread(target=self._run, args=(fn,), name=f"{name}#{i}", daemon=True)
-            for i, fn in enumerate(fetches)
+            threading.Thread(target=self._run, name=f"{name}#{i}", daemon=True)
+            for i in range(self._max_depth)
         ]
         for t in self._threads:
             t.start()
 
     # -- owner-side API ----------------------------------------------------
-    def schedule(self, block_nos: Iterable[int]) -> None:
+    @property
+    def frontier(self) -> int:
+        """The offset passed to the latest :meth:`schedule`."""
+        return self._frontier
+
+    def _target_depth(self) -> int:
+        if self._monitor is not None:
+            latency = self._monitor.latency(self._peer)
+            bandwidth = self._monitor.bandwidth(self._peer)
+            if latency and bandwidth:
+                # Keep one round trip's worth of bytes in flight.
+                bdp = 2.0 * latency * bandwidth
+                return max(1, min(self._max_depth, round(bdp / self._chunk + 0.5)))
+        return self._depth
+
+    def note_hit(self) -> None:
+        with self._cv:
+            self._depth = min(self._depth * 2, self._max_depth)
+
+    def note_eof(self, total: int) -> None:
+        """The stream ends at ``total``: never request past it."""
+        with self._cv:
+            self._note_eof_locked(total)
+
+    def _note_eof_locked(self, total: int) -> None:
+        self._eof_at = total if self._eof_at is None else min(self._eof_at, total)
+
+    def _result_covering(self, pos: int) -> Optional[int]:
+        for off, data in self._results.items():
+            if off <= pos < off + len(data):
+                return off
+        return None
+
+    def _inflight_covering(self, pos: int) -> bool:
+        return any(off <= pos < off + span for off, span in self._inflight.items())
+
+    def _tracked(self) -> Set[int]:
+        return set(self._queue) | set(self._inflight) | set(self._results) | set(self._errors)
+
+    def schedule(self, frontier: int) -> None:
+        """Keep the window full of requests at/after ``frontier``."""
         with self._cv:
             if self._stopped:
                 return
-            for block_no in block_nos:
-                if block_no in self._inflight or block_no in self._queue:
-                    continue
-                if self._cache.contains(self._path, block_no):
-                    continue
-                self._queue.append(block_no)
-            self._cv.notify()
+            self._frontier = frontier
+            idle = not (self._queue or self._inflight or self._results or self._errors)
+            if idle and self._chunk_rule is not None:
+                # Idle gap: safe to re-tier the chunk grid — nothing
+                # outstanding can straddle the old/new boundaries.
+                self._chunk = max(1, self._chunk_rule() or self._chunk)
+            # Drop state the consumer has moved past.  A result is
+            # stale only when *fully* below the frontier: a stream may
+            # consume bytes server-side as they are read, so dropping
+            # an undelivered tail would make them unreachable.
+            for off in [o for o, d in self._results.items() if o + len(d) <= frontier]:
+                if self._results.pop(off):
+                    self.wasted += 1
+            for off in [o for o in self._errors if o < frontier]:
+                del self._errors[off]
+            self._queue = [o for o in self._queue if o >= frontier]
+            target = self._target_depth()
+            tracked = self._tracked()
+            outstanding = len([o for o in tracked if o >= frontier])
+            candidate = frontier
+            while outstanding < target:
+                if self._eof_at is not None and candidate >= self._eof_at:
+                    break
+                if (
+                    candidate not in tracked
+                    and self._result_covering(candidate) is None
+                    and not self._inflight_covering(candidate)
+                    and not (self._covered is not None and self._covered(candidate))
+                ):
+                    insort(self._queue, candidate)
+                    tracked.add(candidate)
+                    outstanding += 1
+                candidate += self._chunk
+            if self._queue:
+                self._cv.notify_all()
 
-    def claim(self, block_no: int, timeout: Optional[float] = None) -> bool:
-        """Wait for ``block_no`` if it is in flight.
+    def take(self, pos: int) -> Optional[bytes]:
+        """Pipelined data covering ``pos``, waiting while in flight.
 
-        Returns True when the block was (or is now) in the cache thanks
-        to the pipeline; False means the caller must demand-fetch.  A
-        queued-but-unstarted block is dropped from the queue so the
-        demand fetch doesn't race a duplicate.
+        ``b""`` means EOF at/after ``pos``; None means the caller must
+        demand-read.  A request *covering* ``pos`` (its span may start
+        earlier when another store advanced the consumer mid-run) is
+        served from ``pos`` onward.  An error recorded at exactly
+        ``pos`` re-raises here; other errors are dropped during
+        scheduling (the demand path surfaces persistent failures).
         """
         with self._cv:
-            pending = self._inflight.get(block_no)
-            if pending is None:
-                try:
-                    self._queue.remove(block_no)
-                except ValueError:
-                    pass
-                return False
-        if not pending.event.wait(timeout):
-            return False
-        return self._cache.contains(self._path, block_no)
+            while True:
+                if pos in self._errors:
+                    raise self._errors.pop(pos)
+                off = self._result_covering(pos)
+                if off is not None:
+                    data = self._results.pop(off)
+                    return data[pos - off :] if off != pos else data
+                if self._eof_at is not None and pos >= self._eof_at:
+                    return b""
+                # A queued/in-flight request whose span may reach pos:
+                # wait for it rather than racing a demand read against
+                # bytes it is about to deliver.
+                if self._inflight_covering(pos) or any(
+                    off <= pos < off + self._chunk for off in self._queue
+                ):
+                    self._cv.wait(timeout=0.05)
+                    continue
+                return None
 
-    def invalidate(self, first_block: int, last_block: int) -> None:
-        """A write dirtied ``first..last``: drop them from queue/flight."""
+    def next_boundary(self, pos: int) -> Optional[int]:
+        """Smallest tracked offset beyond ``pos`` (demand-read clamp)."""
         with self._cv:
-            for block_no in range(first_block, last_block + 1):
-                try:
-                    self._queue.remove(block_no)
-                except ValueError:
-                    pass
-                pending = self._inflight.get(block_no)
-                if pending is not None:
-                    pending.stale = True
+            ahead = [o for o in self._tracked() if o > pos]
+            return min(ahead) if ahead else None
 
-    def cancel_queued(self) -> None:
-        """Random seek: the queued window is no longer the likely future."""
+    def invalidate(self, start: int, end: int) -> None:
+        """Bytes ``[start, end)`` changed under the window.
+
+        Queued requests and held results overlapping the range are
+        dropped, and in-flight ones are marked stale so their replies
+        are discarded on landing instead of being served.  EOF learned
+        before the range grew the stream is forgotten.
+        """
         with self._cv:
+            self._queue = [o for o in self._queue if not (o < end and o + self._chunk > start)]
+            for off in [o for o, d in self._results.items() if o < end and o + len(d) > start]:
+                if self._results.pop(off):
+                    self.wasted += 1
+            for off in [o for o in self._errors if start <= o < end]:
+                del self._errors[off]
+            for off, span in self._inflight.items():
+                if off < end and off + span > start:
+                    self._stale.add(off)
+            if self._eof_at is not None and end > self._eof_at:
+                self._eof_at = None
+
+    def discard(self) -> None:
+        """A seek invalidated the window: drop queued work, collapse."""
+        with self._cv:
+            self.wasted += sum(1 for d in self._results.values() if d)
             self._queue.clear()
-
-    def in_flight(self, block_no: int) -> bool:
-        with self._cv:
-            return block_no in self._inflight or block_no in self._queue
+            self._results.clear()
+            self._errors.clear()
+            self._depth = 1
 
     def close(self) -> None:
         with self._cv:
             self._stopped = True
+            self.wasted += sum(1 for d in self._results.values() if d)
             self._queue.clear()
+            self._results.clear()
             self._cv.notify_all()
+        if self._cancel is not None:
+            self._cancel()
         for t in self._threads:
-            t.join(timeout=5)
+            t.join(timeout=2.0)
 
     # -- workers -----------------------------------------------------------
-    def _run(self, fetch: Callable[[int], bytes]) -> None:
+    def _run(self) -> None:
+        # Worker threads adopt the owner's span context so the rpc.client
+        # spans of read-ahead fetches join the workflow trace.
+        with obs.attach(self._trace_ctx):
+            self._run_attached()
+
+    def _run_attached(self) -> None:
         while True:
             with self._cv:
                 while not self._queue and not self._stopped:
                     self._cv.wait()
                 if self._stopped:
-                    # Wake any claim() waiters; entries owned by workers
-                    # still mid-RPC are released by their finally blocks.
-                    for pending in self._inflight.values():
-                        pending.event.set()
                     return
-                block_no = self._queue.popleft()
-                pending = self._inflight[block_no] = _InFlight()
+                offset = self._queue.pop(0)
+                # A wide request registered after this offset was
+                # queued may already carry it — skip; the consumer
+                # waits on that in-flight span, not this queue entry.
+                if self._inflight_covering(offset) or self._result_covering(offset) is not None:
+                    self._cv.notify_all()
+                    continue
+                span = self._chunk
+                if self._span_rule is not None:
+                    span = max(1, self._span_rule(offset, self._chunk))
+                self._inflight[offset] = span
+                self._cv.notify_all()
             try:
-                data = fetch(block_no)
-                _PREFETCH_RPCS.inc()
+                data, total = self._fetch(offset, span)
+            except BaseException as exc:  # noqa: BLE001 - surfaced on take()
+                # A failed fetch of bytes another store already holds is
+                # benign: the consumer gets them from there.
+                benign = self._covered is not None and self._covered(offset)
                 with self._cv:
-                    self.rpc_reads += 1
-            except Exception:
-                data = None  # demand path will retry and surface the error
+                    self._inflight.pop(offset, None)
+                    stale = offset in self._stale
+                    self._stale.discard(offset)
+                    if not (self._stopped or benign or stale):
+                        self._errors[offset] = exc
+                    self._cv.notify_all()
+                continue
             with self._cv:
-                if data is not None:
-                    if pending.stale:
-                        self._cache.note_wasted()
-                    else:
-                        self._cache.put(self._path, block_no, data, prefetched=True)
-                self._inflight.pop(block_no, None)
-                pending.event.set()
+                self._inflight.pop(offset, None)
+                if self._stopped or offset in self._stale:
+                    self._stale.discard(offset)
+                    if data:
+                        self.wasted += 1
+                else:
+                    self._results[offset] = data
+                    if data:
+                        # A wide request may cover offsets queued before
+                        # it landed — drop them, they're served.
+                        end = offset + len(data)
+                        self._queue = [o for o in self._queue if not (offset <= o < end)]
+                    if total is not None:
+                        self._note_eof_locked(total)
+                    elif not data:
+                        self._note_eof_locked(offset)
+                self._cv.notify_all()
 
 
-class WriteCoalescer:
-    """Write-behind buffer merging contiguous writes into block flushes.
+class RunBatcher:
+    """Multi-run write-behind buffer pushed out in one flush.
 
-    ``write(offset, data)`` extends the pending run when the write is
-    contiguous with it; anything else (a backwards write, a hole, an
-    explicit ``flush``) pushes the pending bytes out through ``flush_fn``
-    first.  Runs longer than ``block_size`` are flushed eagerly in
-    block-sized RPCs so the buffer never grows unboundedly.
+    Contiguous writes extend the active run; a scattered write opens a
+    new run instead of forcing a flush.  Every pending run goes to
+    ``flush_fn(runs)`` — a list of ``(offset, bytes)`` — once the batch
+    reaches ``limit`` bytes or on an explicit :meth:`flush`; the caller
+    decides how runs become RPCs (one vectored frame, or one request
+    per block-sized piece).
     """
 
-    def __init__(self, flush_fn: Callable[[int, bytes], None], block_size: int):
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
+    #: Floor for backpressure-driven limit shrinking.
+    MIN_LIMIT = 4096
+
+    def __init__(self, flush_fn: Callable[[List[Tuple[int, bytes]]], None], limit: int):
+        if limit < 1:
+            raise ValueError("limit must be >= 1")
         self._flush_fn = flush_fn
-        self._block_size = block_size
-        self._start = 0
-        self._buf = bytearray()
-        self.flushes = 0          # put RPCs issued
-        self.writes_coalesced = 0  # WRITE calls absorbed without an RPC
+        self._limit = limit
+        self._configured = limit
+        self._runs: List[List[Any]] = []  # [start, bytearray]
+        self._bytes = 0
+        self.flushes = 0           # flush_fn calls
+        self.writes_coalesced = 0  # writes absorbed into an existing run
 
     @property
-    def pending(self) -> Tuple[int, int]:
-        """``(offset, length)`` of the not-yet-flushed run."""
-        return self._start, len(self._buf)
+    def pending_bytes(self) -> int:
+        return self._bytes
+
+    @property
+    def limit(self) -> int:
+        return self._limit
+
+    def adapt(self, stall: Optional[str]) -> None:
+        """Tune the batch limit from the server's backpressure verdict.
+
+        ``buffer_full`` halves the limit — a smaller batch fits the free
+        headroom instead of stalling (and eventually timing out) against
+        capacity.  A clean flush doubles it back toward the configured
+        size.  ``slow_reader`` holds steady: the reader is the
+        bottleneck, so batch size is neither the problem nor the fix.
+        """
+        if stall == "buffer_full":
+            self._limit = max(self.MIN_LIMIT, self._limit // 2)
+        elif stall is None and self._limit < self._configured:
+            self._limit = min(self._configured, self._limit * 2)
+
+    def discard(self) -> None:
+        """Drop pending runs without flushing (writer abort path)."""
+        self._runs = []
+        self._bytes = 0
 
     def write(self, offset: int, data: bytes) -> None:
         if not data:
             return
-        if self._buf and offset != self._start + len(self._buf):
-            self.flush()
-        if not self._buf:
-            self._start = offset
-        else:
+        if self._runs and offset == self._runs[-1][0] + len(self._runs[-1][1]):
+            self._runs[-1][1] += data
             self.writes_coalesced += 1
-            _WRITE_COALESCED.inc()
-        self._buf += data
-        while len(self._buf) >= self._block_size:
-            chunk = bytes(self._buf[: self._block_size])
-            self._flush_fn(self._start, chunk)
-            self.flushes += 1
-            _WRITE_FLUSHES.inc()
-            del self._buf[: self._block_size]
-            self._start += len(chunk)
+        else:
+            self._runs.append([offset, bytearray(data)])
+        self._bytes += len(data)
+        if self._bytes >= self._limit:
+            self.flush()
 
     def flush(self) -> None:
-        if self._buf:
-            self._flush_fn(self._start, bytes(self._buf))
-            self.flushes += 1
-            _WRITE_FLUSHES.inc()
-            self._start += len(self._buf)
-            self._buf.clear()
-
-    def overlaps(self, offset: int, length: int) -> bool:
-        """Does pending data intersect ``[offset, offset+length)``?"""
-        if not self._buf or length <= 0:
-            return False
-        return offset < self._start + len(self._buf) and self._start < offset + length
+        if not self._runs:
+            return
+        runs = [(start, bytes(buf)) for start, buf in self._runs]
+        self._runs = []
+        self._bytes = 0
+        self._flush_fn(runs)
+        self.flushes += 1

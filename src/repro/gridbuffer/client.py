@@ -10,15 +10,17 @@ Two layers:
   block writes, windowed reads and shared-cache acks use the vectored
   ops (``gb.write_multi``, ``gb.read_multi``, ``gb.consume_multi``).
 * :class:`BufferWriter` / :class:`BufferReader` — file-like adapters
-  the FM's Grid Buffer Client uses.  The writer coalesces small writes
-  into batched vectored RPCs behind a *bounded flush deadline* (safe
-  by default: downstream visibility lags by at most the deadline); the
-  reader keeps an adaptive window of up to N windowed reads in flight,
-  sized from measured link estimates when a
-  :class:`~repro.core.trace.TransferMonitor` is attached.
+  the FM's Grid Buffer Client uses.  They drive the FM's one
+  pipelining layer (:mod:`repro.core.remote_io`): the writer batches
+  small writes in a :class:`~repro.core.remote_io.RunBatcher` behind a
+  *bounded flush deadline* (downstream visibility lags by at most the
+  deadline); the reader feeds a
+  :class:`~repro.core.remote_io.ReadAheadWindow` whose fetch tries
+  cooperative-cache peers before the origin, fills the shared cache
+  and stores the origin's peer hints.
 
-Because a blocking remote read parks a server thread, every reader
-still uses its own demand connection, and the read-ahead window owns a
+Because a blocking remote read parks a server request, every reader
+uses its own demand connection, and the read-ahead window owns a
 separate pooled connection set, so a request blocked server-side never
 head-of-line blocks demand traffic.  Co-located readers of one
 broadcast stream can share a per-process block cache: each block is
@@ -39,6 +41,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults, ioutil, obs
+from ..core.remote_io import ReadAheadWindow, RunBatcher
 from ..ioutil import ReadIntoFromRead
 from ..transport.tcp import RpcClient, RpcError
 from .protocol import (
@@ -72,9 +75,8 @@ def _open_poll_interval() -> float:
     return float(os.environ.get("REPRO_BUFFER_OPEN_POLL", "0.01"))
 
 
-def _default_flush_deadline() -> float:
-    """Upper bound on how long coalesced writer bytes may stay local."""
-    return float(os.environ.get("REPRO_BUFFER_FLUSH_DEADLINE", "0.02"))
+#: Upper bound (seconds) on how long coalesced writer bytes stay local.
+DEFAULT_FLUSH_DEADLINE = 0.02
 
 
 _READAHEAD_HITS = obs.counter(
@@ -897,7 +899,7 @@ class GridBufferClient:
         cache: bool = False,
         write_timeout: Optional[float] = None,
         coalesce_bytes: int = 0,
-        flush_after: Optional[float] = None,
+        flush_after: float = DEFAULT_FLUSH_DEADLINE,
     ) -> "BufferWriter":
         self.create_stream(name, n_readers=n_readers, capacity_bytes=capacity_bytes, cache=cache)
         return BufferWriter(
@@ -913,7 +915,6 @@ class GridBufferClient:
         name: str,
         reader_id: Optional[str] = None,
         read_timeout: Optional[float] = None,
-        dedicated_connection: bool = True,
         open_timeout: float = 10.0,
         poll_interval: Optional[float] = None,
         read_ahead: bool = False,
@@ -933,8 +934,8 @@ class GridBufferClient:
         serves ``gb.peer_read`` for other readers, and redirects its
         own fetches to hinted peers when the origin says one holds the
         bytes.  Implies ``shared_cache`` (the shared cache *is* the
-        peer-served store) and ``read_ahead`` (the window owns the peer
-        fetch machinery).
+        peer-served store) and ``read_ahead`` (the window drives the
+        peer fetches).
         """
         rid = reader_id or f"reader-{uuid.uuid4().hex[:8]}"
         interval = _open_poll_interval() if poll_interval is None else poll_interval
@@ -952,18 +953,16 @@ class GridBufferClient:
             rid,
             peer_hints=(peer_addr, _HINT_K) if peer_addr is not None else None,
         )
-        rpc = self._fresh_connection() if dedicated_connection or read_ahead else None
         return BufferReader(
             self,
             name,
             rid,
             read_timeout=read_timeout,
-            rpc=rpc,
             read_ahead=read_ahead,
             read_ahead_bytes=read_ahead_bytes,
             read_ahead_depth=read_ahead_depth,
             shared_cache=shared_cache,
-            peer_cache=peer_cache,
+            peer_addr=peer_addr,
             gen=gen,
             initial_hint=hint,
         )
@@ -988,91 +987,18 @@ class GridBufferClient:
 # ---------------------------------------------------------------------------
 
 
-class _RunBatcher:
-    """Multi-run write-behind buffer flushed as one vectored RPC.
-
-    Contiguous writes extend the active run; a scattered write opens a
-    new run instead of forcing a flush (the vectored ``gb.write_multi``
-    carries all runs in one frame).  The batch is pushed when it
-    reaches ``limit`` bytes, on an explicit flush, or by the owning
-    writer's deadline thread.
-    """
-
-    #: Floor for backpressure-driven limit shrinking.
-    MIN_LIMIT = 4096
-
-    def __init__(self, flush_fn, limit: int):
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        self._flush_fn = flush_fn  # callable(list[(offset, bytes)])
-        self._limit = limit
-        self._configured = limit
-        self._runs: List[List[Any]] = []  # [start, bytearray]
-        self._bytes = 0
-        self.flushes = 0           # batch RPCs issued
-        self.writes_coalesced = 0  # WRITE calls absorbed without an RPC
-
-    @property
-    def pending_bytes(self) -> int:
-        return self._bytes
-
-    @property
-    def limit(self) -> int:
-        return self._limit
-
-    def adapt(self, stall: Optional[str]) -> None:
-        """Tune the batch limit from the server's backpressure verdict.
-
-        ``buffer_full`` halves the limit — a smaller batch fits the free
-        headroom instead of stalling (and eventually timing out) against
-        capacity.  A clean flush doubles it back toward the configured
-        size.  ``slow_reader`` holds steady: the reader is the
-        bottleneck, so batch size is neither the problem nor the fix.
-        """
-        if stall == "buffer_full":
-            self._limit = max(self.MIN_LIMIT, self._limit // 2)
-        elif stall is None and self._limit < self._configured:
-            self._limit = min(self._configured, self._limit * 2)
-
-    def discard(self) -> None:
-        """Drop pending runs without flushing (writer abort path)."""
-        self._runs = []
-        self._bytes = 0
-
-    def write(self, offset: int, data: bytes) -> None:
-        if not data:
-            return
-        if self._runs and offset == self._runs[-1][0] + len(self._runs[-1][1]):
-            self._runs[-1][1] += data
-            self.writes_coalesced += 1
-        else:
-            self._runs.append([offset, bytearray(data)])
-        self._bytes += len(data)
-        if self._bytes >= self._limit:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._runs:
-            return
-        runs = [(start, bytes(buf)) for start, buf in self._runs]
-        self._runs = []
-        self._bytes = 0
-        self._flush_fn(runs)
-        self.flushes += 1
-
-
 class BufferWriter(io.RawIOBase):
     """File-like writer feeding a Grid Buffer stream.
 
-    With ``coalesce_bytes > 0`` writes are buffered locally and pushed
-    as *batched vectored RPCs*: contiguous runs merge, scattered runs
-    ride the same ``gb.write_multi`` frame.  Coalescing is safe by
-    default because a background deadline thread bounds how long bytes
-    stay local (``flush_after`` seconds, default from
-    ``REPRO_BUFFER_FLUSH_DEADLINE``, 20 ms) — a downstream blocking
+    With ``coalesce_bytes > 0`` writes are buffered locally in a
+    :class:`~repro.core.remote_io.RunBatcher` and pushed as *batched
+    vectored RPCs*: contiguous runs merge, scattered runs ride the same
+    ``gb.write_multi`` frame.  Coalescing is safe by default because a
+    background deadline thread bounds how long bytes stay local
+    (``flush_after`` seconds, default 20 ms) — a downstream blocking
     reader sees new data within the deadline even mid-run, which keeps
     tightly pipelined streams tight.  ``flush_after=0`` disables the
-    deadline (flush only on size/seek/flush/close).
+    deadline (flush only on size/flush/close).
     """
 
     def __init__(
@@ -1081,7 +1007,7 @@ class BufferWriter(io.RawIOBase):
         name: str,
         write_timeout: Optional[float] = None,
         coalesce_bytes: int = 0,
-        flush_after: Optional[float] = None,
+        flush_after: float = DEFAULT_FLUSH_DEADLINE,
     ):
         super().__init__()
         self._client = client
@@ -1094,11 +1020,9 @@ class BufferWriter(io.RawIOBase):
         self._m_write_rpcs = _WRITE_RPCS.labels(stream=name)
         self._m_deadline_flushes = _DEADLINE_FLUSHES.labels(stream=name)
         self._coalescer = (
-            _RunBatcher(self._push_runs, coalesce_bytes) if coalesce_bytes > 0 else None
+            RunBatcher(self._push_runs, coalesce_bytes) if coalesce_bytes > 0 else None
         )
-        self._flush_after = (
-            _default_flush_deadline() if flush_after is None else max(0.0, flush_after)
-        )
+        self._flush_after = max(0.0, flush_after)
         self._pending_since: Optional[float] = None
         self._deadline_thread: Optional[threading.Thread] = None
         # Deadline flushes issue write RPCs from a background thread;
@@ -1248,367 +1172,171 @@ class BufferWriter(io.RawIOBase):
 # Reader side
 # ---------------------------------------------------------------------------
 
+#: Read-ahead chunk per observed link bandwidth: (ceiling in bytes/s,
+#: chunk size), first match wins.  Small requests keep time-to-first-
+#: byte low on a slow link; big ones amortise per-frame cost on a fast one.
+CHUNK_TIERS = (
+    (1 << 20, 16 * 1024),     # < 1 MB/s: keep replies snappy
+    (8 << 20, 64 * 1024),     # < 8 MB/s: the historical default
+    (64 << 20, 256 * 1024),   # < 64 MB/s
+)
+#: Chunk size above the top tier.
+MAX_CHUNK = 1024 * 1024
 
-class _ReadAheadWindow:
-    """Up to N windowed reads in flight on a pooled connection set.
 
-    Generalises the PR 1 double buffer (exactly one request in flight)
-    into an adaptive window: worker threads keep ``depth`` chunk-grid
-    requests outstanding ahead of the consumer.  Depth starts at 1,
-    doubles every time the pipeline actually serves a read (up to
-    ``max_depth``), and collapses on a seek; when the owning client
-    carries measured link estimates, the bandwidth-delay product picks
-    the target depth directly — the paper's latency-crossover argument
-    applied to the window size.
+def _tiered_chunk(monitor: Optional[Any], peer: str) -> Optional[int]:
+    """Read-ahead chunk for the link's bandwidth tier; None while unmeasured."""
+    bandwidth = monitor.bandwidth(peer) if monitor is not None else None
+    if not bandwidth:
+        return None
+    for ceiling, chunk in CHUNK_TIERS:
+        if bandwidth < ceiling:
+            return chunk
+    return MAX_CHUNK
 
-    The window owns one pooled :class:`RpcClient` whose width equals
-    ``max_depth``, so its blocked requests can never head-of-line
-    block the reader's demand connection.
 
-    The chunk size adapts too: with measured link estimates the window
-    re-tiers its request size from observed bandwidth (small requests
-    keep time-to-first-byte low on a slow link; big ones amortise
-    per-frame cost on a fast one).  Re-tiering happens only while
-    nothing is queued or in flight, so an outstanding span is never
-    partially duplicated under a new grid.
+class BufferReader(ReadIntoFromRead, io.RawIOBase):
+    """File-like reader over a Grid Buffer stream.
+
+    Sequential reads drain the hash table; re-reads and backwards
+    seeks hit the server-side cache file — exactly the DARLAM pattern
+    in Section 5.3.  With ``read_ahead=True`` a
+    :class:`~repro.core.remote_io.ReadAheadWindow` keeps up to
+    ``read_ahead_depth`` windowed requests in flight on a pooled
+    connection set of its own, so a request blocked server-side never
+    head-of-line blocks the reader's demand connection; its chunk
+    re-tiers from the client's measured link bandwidth.  With
+    ``shared_cache=True`` co-located readers of the same stream serve
+    each other's fetches from a per-process cache and acknowledge
+    consumption with batched vectored ``gb.consume_multi`` calls.  With
+    a ``peer_addr`` (the process's ``gb.peer_read`` endpoint) the
+    reader joins the cooperative cache: fetches go first to peers the
+    origin hinted at, spanning several chunks, and fall back to the
+    origin on any trouble.
     """
 
-    #: (bandwidth ceiling in bytes/s, chunk size) — first match wins.
-    CHUNK_TIERS = (
-        (1 << 20, 16 * 1024),     # < 1 MB/s: keep replies snappy
-        (8 << 20, 64 * 1024),     # < 8 MB/s: the historical default
-        (64 << 20, 256 * 1024),   # < 64 MB/s
-    )
-    #: Chunk size above the top tier.
-    MAX_CHUNK = 1024 * 1024
+    #: Acked-but-unsent shared-cache ranges are flushed past this size.
+    ACK_FLUSH_BYTES = 1 * 1024 * 1024
 
     def __init__(
         self,
         client: GridBufferClient,
         name: str,
         reader_id: str,
-        timeout: Optional[float],
-        chunk_bytes: int,
-        max_depth: int,
-        shared: Optional[_SharedStreamCache] = None,
+        read_timeout: Optional[float] = None,
+        read_ahead: bool = False,
+        read_ahead_bytes: int = DEFAULT_READ_BUDGET,
+        read_ahead_depth: int = 4,
+        shared_cache: bool = False,
         peer_addr: Optional[str] = None,
         gen: int = 0,
         initial_hint: Optional[Dict[str, Any]] = None,
     ):
+        super().__init__()
         self._client = client
-        self._name = name
-        self._reader_id = reader_id
-        self._timeout = timeout
-        self._chunk = max(1, chunk_bytes)
-        self._max_depth = max(1, max_depth)
-        self._shared = shared
-        # Cooperative cache state: our own peer address (None = peer
-        # fetch disabled), the stream generation peer reads are keyed
-        # by, and the origin's latest ``cached_at`` hint.  Demotions are
-        # per-window permanent — a peer that lied once is not retried.
-        self._peer_addr = peer_addr
+        self.name = name
+        self.reader_id = reader_id
+        self._pos = 0
+        self._timeout = read_timeout
+        self._rpc: Optional[RpcClient] = client._fresh_connection()
+        self._ra_buf = b""          # data already fetched ahead, at _pos
+        self._at_eof = False
+        self.readahead_hits = 0     # reads served (fully) from the pipeline
+        self.shared_hits = 0        # reads served from the shared cache
+        self.peer_hits = 0          # fetches served by cooperative-cache peers
+        self._m_ra_hits = _READAHEAD_HITS.labels(stream=name)
+        self._m_shared_hits = _SHARED_HITS.labels(stream=name)
+        self._m_peer_hits = _PEER_HITS.labels(stream=name)
+        self._m_peer_bytes = _PEER_FETCH_BYTES.labels(stream=name)
         self._gen = int(gen)
+        self._shared: Optional[_SharedStreamCache] = None
+        if shared_cache or peer_addr is not None:
+            self._shared = _shared_cache_acquire(client.address, name, self._gen)
+        # Cooperative cache state: our own peer address (None = peer
+        # fetch disabled) and the origin's latest ``cached_at`` hint.
+        # Demotions are per-reader permanent — a peer that lied once is
+        # not retried.
+        self._peer_addr = peer_addr
+        if self._shared is not None and peer_addr is not None:
+            self._shared.peer_addr = peer_addr
+        self._hint_lock = threading.Lock()
         self._hint_peers: List[str] = []
         self._hint_start = 0
         self._hint_end = 0
         self._demoted: set = set()
         self._misses: Dict[str, int] = {}
         self._peer_rr = 0
-        self._frontier = 0
-        self.peer_hits = 0
-        self._m_peer_hits = _PEER_HITS.labels(stream=name)
-        self._m_peer_bytes = _PEER_FETCH_BYTES.labels(stream=name)
-        self._rpc = client._fresh_connection(max_connections=self._max_depth)
-        self._cv = threading.Condition()
-        self._queue: List[int] = []                  # wanted offsets, ascending
-        # In-flight requests: offset -> expected span.  Origin fetches
-        # span one chunk; peer fetches may span several, and tracking
-        # the width keeps schedule() from double-requesting bytes a
-        # wide peer fetch is already carrying.
-        self._inflight: Dict[int, int] = {}
-        self._results: Dict[int, bytes] = {}
-        self._errors: Dict[int, BaseException] = {}
-        self._eof_at: Optional[int] = None
-        self._depth = 1
-        self._stopped = False
-        # Read-ahead RPCs issued by worker threads should parent under
-        # whatever span opened the reader (the task, usually) — capture
-        # the constructing thread's context for re-attachment.
-        self._trace_ctx = obs.current_context()
-        if initial_hint is not None:
+        self._ra: Optional[ReadAheadWindow] = None
+        self._ra_rpc: Optional[RpcClient] = None
+        if read_ahead:
+            self._ra_rpc = client._fresh_connection(max_connections=max(1, read_ahead_depth))
+            self._ra = ReadAheadWindow(
+                self._window_fetch,
+                read_ahead_bytes,
+                read_ahead_depth,
+                name=f"gb-window:{name}",
+                monitor=client.monitor,
+                peer=client.peer,
+                chunk_rule=lambda: _tiered_chunk(client.monitor, client.peer),
+                span_rule=self._peer_span if peer_addr is not None else None,
+                covered=self._covered,
+                cancel=self._ra_rpc.close_all,
+            )
+        if initial_hint is not None and peer_addr is not None:
             self._store_hint(initial_hint)
-        self._threads = [
-            threading.Thread(target=self._run, name=f"gb-window:{name}#{i}", daemon=True)
-            for i in range(self._max_depth)
-        ]
-        for t in self._threads:
-            t.start()
 
-    # -- owner-side API ----------------------------------------------------
-    def _target_chunk(self) -> int:
-        """Chunk size for the link's observed bandwidth tier."""
-        monitor = self._client.monitor
-        if monitor is None:
-            return self._chunk
-        bandwidth = monitor.bandwidth(self._client.peer)
-        if not bandwidth:
-            return self._chunk
-        for ceiling, chunk in self.CHUNK_TIERS:
-            if bandwidth < ceiling:
-                return chunk
-        return self.MAX_CHUNK
+    def readable(self) -> bool:
+        return True
 
-    def _target_depth(self) -> int:
-        monitor = self._client.monitor
-        if monitor is not None:
-            latency = monitor.latency(self._client.peer)
-            bandwidth = monitor.bandwidth(self._client.peer)
-            if latency and bandwidth:
-                # Keep one round trip's worth of bytes in flight.
-                bdp = 2.0 * latency * bandwidth
-                return max(1, min(self._max_depth, round(bdp / self._chunk + 0.5)))
-        return self._depth
+    def _covered(self, offset: int) -> bool:
+        shared = self._shared
+        return shared is not None and shared.covers(offset)
 
-    def note_hit(self) -> None:
-        with self._cv:
-            self._depth = min(self._depth * 2, self._max_depth)
+    def _hint_request(self) -> Optional[Tuple[str, int]]:
+        return (self._peer_addr, _HINT_K) if self._peer_addr is not None else None
 
-    def _result_covering(self, pos: int) -> Optional[int]:
-        for off, data in self._results.items():
-            if off <= pos < off + len(data):
-                return off
-        return None
+    # -- read-ahead fetch --------------------------------------------------
+    def _window_fetch(self, offset: int, length: int) -> Tuple[bytes, Optional[int]]:
+        """The window's fetch: hinted peers first, then the origin."""
+        data = self._fetch_from_peer(offset, length) if self._peer_addr else None
+        if data is not None:
+            # Peer-served bytes never touched the origin, so ack them
+            # explicitly — delete-on-read GC and per-reader lag gauges
+            # must stay exact either way.
+            self._ack(offset, offset + len(data), hint_from=offset + len(data))
+            self._cache_put(offset, data, advertise=False)
+            return data, None
+        data, total, hint = self._client.read_window_ex(
+            self.name,
+            self.reader_id,
+            offset,
+            length,
+            timeout=self._timeout,
+            rpc=self._ra_rpc,
+            peer_hints=self._hint_request(),
+        )
+        if hint is not None:
+            self._store_hint(hint)
+        self._cache_put(offset, data, advertise=True)
+        return data, total
 
-    def _inflight_covering(self, pos: int) -> bool:
-        return any(off <= pos < off + span for off, span in self._inflight.items())
-
-    def schedule(self, frontier: int) -> None:
-        """Keep the window full of requests at/after ``frontier``."""
-        with self._cv:
-            if self._stopped:
-                return
-            self._frontier = frontier
-            if not (self._queue or self._inflight or self._results or self._errors):
-                # Idle gap: safe to re-tier the chunk grid — nothing
-                # outstanding can straddle the old/new boundaries.
-                self._chunk = max(1, self._target_chunk())
-            # Drop state the consumer has moved past.  A result is
-            # stale only when *fully* below the frontier: its bytes are
-            # consumed server-side, so dropping an undelivered tail
-            # would make them unreachable on a cache-less stream.
-            for off in [
-                o for o, d in self._results.items() if o + len(d) <= frontier
-            ]:
-                del self._results[off]
-            for off in [o for o in self._errors if o < frontier]:
-                del self._errors[off]
-            self._queue = [o for o in self._queue if o >= frontier]
-            target = self._target_depth()
-            tracked = set(self._queue) | set(self._inflight) | set(self._results) | set(self._errors)
-            outstanding = len([o for o in tracked if o >= frontier])
-            candidate = frontier
-            while outstanding < target:
-                if self._eof_at is not None and candidate >= self._eof_at:
-                    break
-                if (
-                    candidate not in tracked
-                    and self._result_covering(candidate) is None
-                    and not self._inflight_covering(candidate)
-                    and not (self._shared is not None and self._shared.covers(candidate))
-                ):
-                    insort(self._queue, candidate)
-                    tracked.add(candidate)
-                    outstanding += 1
-                candidate += self._chunk
-            if self._queue:
-                self._cv.notify_all()
-
-    def take(self, pos: int) -> Optional[bytes]:
-        """Pipelined data covering ``pos``, waiting while in flight.
-
-        ``b""`` means EOF at/after ``pos``; None means the caller must
-        demand-read.  A request *covering* ``pos`` (its span may start
-        earlier when a shared-cache hit advanced the consumer mid-run)
-        is served from ``pos`` onward.  An error recorded at exactly
-        ``pos`` re-raises here; other errors are dropped during
-        scheduling (the demand path surfaces persistent failures).
-        """
-        with self._cv:
-            while True:
-                if pos in self._errors:
-                    raise self._errors.pop(pos)
-                off = self._result_covering(pos)
-                if off is not None:
-                    data = self._results.pop(off)
-                    return data[pos - off :] if off != pos else data
-                if self._eof_at is not None and pos >= self._eof_at:
-                    return b""
-                # A queued/in-flight request whose span may reach pos:
-                # wait for it rather than racing a demand read against
-                # bytes it is about to consume.
-                if self._inflight_covering(pos) or any(
-                    off <= pos < off + self._chunk for off in self._queue
-                ):
-                    self._cv.wait(timeout=0.05)
-                    continue
-                return None
-
-    def next_boundary(self, pos: int) -> Optional[int]:
-        """Smallest tracked offset beyond ``pos`` (demand-read clamp)."""
-        with self._cv:
-            tracked = set(self._queue) | set(self._inflight) | set(self._results) | set(self._errors)
-            ahead = [o for o in tracked if o > pos]
-            return min(ahead) if ahead else None
-
-    def discard(self) -> None:
-        """A seek invalidated the window: drop queued work, collapse."""
-        with self._cv:
-            self._queue.clear()
-            self._results.clear()
-            self._errors.clear()
-            self._depth = 1
-
-    def eof_total(self) -> Optional[int]:
-        with self._cv:
-            return self._eof_at
-
-    def rebind(self, shared: Optional[_SharedStreamCache], gen: int) -> None:
-        """Reconnect found a new stream incarnation: swap cache and
-        generation, drop window state and hints from the dead one."""
-        with self._cv:
-            self._shared = shared
-            self._gen = int(gen)
-            self._hint_peers = []
-            self._hint_start = self._hint_end = 0
-            self._queue.clear()
-            self._results.clear()
-            self._errors.clear()
-
-    def close(self) -> None:
-        with self._cv:
-            self._stopped = True
-            self._queue.clear()
-            self._cv.notify_all()
-        # Hard-close the pooled sockets: calls parked in a server-side
-        # blocking read fail immediately instead of waiting out their
-        # timeout, so join() below always completes promptly.
-        self._rpc.close_all()
-        for t in self._threads:
-            t.join(timeout=2.0)
-        self._rpc.close()
-
-    # -- workers -----------------------------------------------------------
-    def _run(self) -> None:
-        # Worker threads adopt the owner's span context so the rpc.client
-        # spans of read-ahead fetches join the workflow trace.
-        with obs.attach(self._trace_ctx):
-            self._run_attached()
-
-    def _run_attached(self) -> None:
-        while True:
-            with self._cv:
-                while not self._queue and not self._stopped:
-                    self._cv.wait()
-                if self._stopped:
-                    return
-                offset = self._queue.pop(0)
-                # A wide peer fetch registered after this offset was
-                # queued may already carry it — skip; the consumer
-                # waits on that in-flight span, not this queue entry.
-                if self._inflight_covering(offset) or self._result_covering(offset) is not None:
-                    self._cv.notify_all()
-                    continue
-                span = self._chunk
-                if self._peer_addr and self._hint_start <= offset < self._hint_end:
-                    # Peer fetches batch several chunks: peers serve
-                    # from RAM, so per-request overhead — not link
-                    # bandwidth — is what bounds a popular holder.
-                    # Registering the wide span under the lock is what
-                    # keeps sibling workers off the covered bytes.
-                    span = min(self._chunk * _PEER_SPAN_CHUNKS, self._hint_end - offset)
-                self._inflight[offset] = span
-                self._cv.notify_all()
-            total: Optional[int] = None
-            data = self._fetch_from_peer(offset, span) if self._peer_addr else None
-            from_peer = data is not None
-            if data is not None:
-                # Peer-served bytes never touched the origin, so ack
-                # them explicitly — delete-on-read GC and per-reader
-                # lag gauges must stay exact either way.
-                self.peer_hits += 1
-                self._m_peer_hits.inc()
-                self._m_peer_bytes.inc(len(data))
-                if self._shared is not None:
-                    entries = self._shared.ack(
-                        self._reader_id,
-                        offset,
-                        offset + len(data),
-                        BufferReader.ACK_FLUSH_BYTES,
-                    )
-                    if entries:
-                        try:
-                            hint = self._client.consume_multi_ex(
-                                self._name,
-                                entries,
-                                peer_hints=(self._peer_addr, _HINT_K),
-                                hint_from=offset + len(data),
-                            )
-                        except (OSError, RpcError):  # fault-ok: ack retried on flush
-                            pass
-                        else:
-                            if hint is not None:
-                                self._store_hint(hint)
-            else:
-                try:
-                    # Budget the whole registered span: sibling queue
-                    # entries it covers were skipped at dequeue, so the
-                    # origin fallback must deliver those bytes too.
-                    data, total, hint = self._client.read_window_ex(
-                        self._name,
-                        self._reader_id,
-                        offset,
-                        span,
-                        timeout=self._timeout,
-                        rpc=self._rpc,
-                        peer_hints=(
-                            (self._peer_addr, _HINT_K) if self._peer_addr else None
-                        ),
-                    )
-                except BaseException as exc:  # noqa: BLE001 - surfaced on take()
-                    # A shared-cache hit can ack bytes this request was
-                    # racing to fetch; the server then rejects the re-read
-                    # of consumed bytes.  That is benign — the consumer got
-                    # the bytes locally — so drop the error when the cache
-                    # covers the offset.
-                    benign = self._shared is not None and self._shared.covers(offset)
-                    with self._cv:
-                        self._inflight.pop(offset, None)
-                        if not self._stopped and not benign:
-                            self._errors[offset] = exc
-                        self._cv.notify_all()
-                    continue
-                if hint is not None:
-                    self._store_hint(hint)
-            if self._shared is not None and data:
-                self._shared.put(offset, data, advertise=not from_peer)
-                self._flush_adv()
-            with self._cv:
-                self._inflight.pop(offset, None)
-                if not self._stopped:
-                    self._results[offset] = data
-                    if data:
-                        # A wide peer fetch may cover offsets queued
-                        # before it landed — drop them, they're served.
-                        end = offset + len(data)
-                        self._queue = [o for o in self._queue if not (offset <= o < end)]
-                    if total is not None:
-                        self._eof_at = total if self._eof_at is None else min(self._eof_at, total)
-                    elif not data:
-                        self._eof_at = offset if self._eof_at is None else min(self._eof_at, offset)
-                self._cv.notify_all()
+    def _cache_put(self, offset: int, data: bytes, advertise: bool) -> None:
+        shared = self._shared
+        if shared is not None and data:
+            shared.put(offset, data, advertise=advertise)
+            self.flush_advertisements(force=False)
 
     # -- cooperative-cache peer fetch --------------------------------------
-    def _fetch_from_peer(self, offset: int, length: Optional[int] = None) -> Optional[bytes]:
+    def _peer_span(self, offset: int, chunk: int) -> int:
+        """Peer fetches batch several chunks: peers serve from RAM, so
+        per-request overhead — not link bandwidth — is what bounds a
+        popular holder."""
+        with self._hint_lock:
+            if self._hint_start <= offset < self._hint_end:
+                return min(chunk * _PEER_SPAN_CHUNKS, self._hint_end - offset)
+        return chunk
+
+    def _fetch_from_peer(self, offset: int, length: int) -> Optional[bytes]:
         """Try hinted peers for ``offset``; None sends us to the origin.
 
         Every failure mode folds into "skip this peer and fall back":
@@ -1619,9 +1347,7 @@ class _ReadAheadWindow:
         """
         for peer in self._peer_candidates(offset):
             try:
-                data = self._client.peer_read(
-                    peer, self._name, self._gen, offset, length or self._chunk
-                )
+                data = self._client.peer_read(peer, self.name, self._gen, offset, length)
             except RpcError as exc:
                 if exc.kind == "peer-miss":
                     self._strike(peer)
@@ -1636,6 +1362,9 @@ class _ReadAheadWindow:
                 self._demote(peer, "error")
             else:
                 if data:
+                    self.peer_hits += 1
+                    self._m_peer_hits.inc()
+                    self._m_peer_bytes.inc(len(data))
                     return data
                 self._strike(peer)
         return None
@@ -1652,7 +1381,7 @@ class _ReadAheadWindow:
         single best-measured peer.  Failures still walk the remaining
         candidates in score order.
         """
-        with self._cv:
+        with self._hint_lock:
             if not (self._hint_start <= offset < self._hint_end):
                 return []
             peers = [
@@ -1674,145 +1403,40 @@ class _ReadAheadWindow:
         peers = hint.get("peers")
         if not isinstance(peers, (list, tuple)):
             return
-        total = hint.get("total")
-        with self._cv:
+        with self._hint_lock:
             self._hint_peers = [str(p) for p in peers]
             self._hint_start = int(hint.get("start", 0))
             self._hint_end = int(hint.get("end", 0))
-            if total is not None:
-                # The origin told us the stream total along with the
-                # hint — a fully peer-served reader learns EOF without
-                # ever probing the origin for an empty read.
-                t = int(total)
-                self._eof_at = t if self._eof_at is None else min(self._eof_at, t)
-        if total is not None and self._shared is not None:
-            self._shared.note_eof(int(total))
+        total = hint.get("total")
+        if total is not None:
+            # The origin told us the stream total along with the hint —
+            # a fully peer-served reader learns EOF without ever probing
+            # the origin for an empty read.
+            window = self._ra
+            if window is not None:
+                window.note_eof(int(total))
+            if self._shared is not None:
+                self._shared.note_eof(int(total))
 
     def _demote(self, peer: str, reason: str) -> None:
-        with self._cv:
+        with self._hint_lock:
             if peer in self._demoted:
                 return
             self._demoted.add(peer)
             self._misses.pop(peer, None)
         _PEER_DEMOTIONS.labels(reason=reason).inc()
-        obs.event("gb.peer_demoted", stream=self._name, peer=peer, reason=reason)
+        obs.event("gb.peer_demoted", stream=self.name, peer=peer, reason=reason)
 
     def _strike(self, peer: str) -> None:
-        with self._cv:
+        with self._hint_lock:
             strikes = self._misses.get(peer, 0) + 1
             self._misses[peer] = strikes
             if strikes < _MISS_STRIKES:
                 return
         self._demote(peer, "miss")
 
-    def _flush_adv(self) -> None:
-        """Piggyback any due holder advertisement on an empty consume."""
-        shared = self._shared
-        if shared is None or self._peer_addr is None:
-            return
-        pending = shared.take_adv()
-        if pending is None:
-            return
-        try:
-            hint = self._client.consume_multi_ex(
-                self._name,
-                [],
-                adv={
-                    "peer": self._peer_addr,
-                    "gen": self._gen,
-                    "holds": pending[0],
-                    "drops": pending[1],
-                },
-                peer_hints=(self._peer_addr, _HINT_K),
-                hint_from=self._frontier,
-            )
-        except (OSError, RpcError):  # fault-ok: a lost advertisement only costs hints
-            pass
-        else:
-            if hint is not None:
-                self._store_hint(hint)
-
-
-class BufferReader(ReadIntoFromRead, io.RawIOBase):
-    """File-like reader over a Grid Buffer stream.
-
-    Sequential reads drain the hash table; re-reads and backwards
-    seeks hit the server-side cache file — exactly the DARLAM pattern
-    in Section 5.3.  With ``read_ahead=True`` an adaptive
-    :class:`_ReadAheadWindow` keeps up to ``read_ahead_depth`` windowed
-    requests in flight while the current chunk is consumed.  With
-    ``shared_cache=True`` co-located readers of the same stream serve
-    each other's fetches from a per-process cache and acknowledge
-    consumption with batched vectored ``gb.consume_multi`` calls.
-    """
-
-    #: Acked-but-unsent shared-cache ranges are flushed past this size.
-    ACK_FLUSH_BYTES = 1 * 1024 * 1024
-
-    def __init__(
-        self,
-        client: GridBufferClient,
-        name: str,
-        reader_id: str,
-        read_timeout: Optional[float] = None,
-        rpc: Optional[RpcClient] = None,
-        read_ahead: bool = False,
-        read_ahead_bytes: int = DEFAULT_READ_BUDGET,
-        read_ahead_depth: int = 4,
-        shared_cache: bool = False,
-        peer_cache: bool = False,
-        gen: int = 0,
-        initial_hint: Optional[Dict[str, Any]] = None,
-    ):
-        super().__init__()
-        self._client = client
-        self.name = name
-        self.reader_id = reader_id
-        self._pos = 0
-        self._timeout = read_timeout
-        self._rpc = rpc
-        self._ra_bytes = max(1, read_ahead_bytes)
-        self._ra_buf = b""          # data already fetched ahead, at _pos
-        self._at_eof = False
-        self.readahead_hits = 0     # reads served (fully) from the pipeline
-        self.shared_hits = 0        # reads served from the shared cache
-        self._m_ra_hits = _READAHEAD_HITS.labels(stream=name)
-        self._m_shared_hits = _SHARED_HITS.labels(stream=name)
-        self._gen = int(gen)
-        self._peer_addr: Optional[str] = None
-        self._shared: Optional[_SharedStreamCache] = None
-        if shared_cache:
-            self._shared = _shared_cache_acquire(client.address, name, self._gen)
-        if peer_cache and self._shared is not None:
-            # Joining the cooperative cache: start (or reuse) this
-            # process's peer endpoint and expose the shared cache on it.
-            self._peer_addr = _PeerCacheServer.get().addr
-            self._shared.peer_addr = self._peer_addr
-        self._ra: Optional[_ReadAheadWindow] = None
-        if read_ahead:
-            self._ra = _ReadAheadWindow(
-                client,
-                name,
-                reader_id,
-                read_timeout,
-                read_ahead_bytes,
-                read_ahead_depth,
-                shared=self._shared,
-                peer_addr=self._peer_addr,
-                gen=self._gen,
-                initial_hint=initial_hint if self._peer_addr is not None else None,
-            )
-
-    def readable(self) -> bool:
-        return True
-
-    @property
-    def peer_hits(self) -> int:
-        """Read-ahead fetches served by cooperative-cache peers."""
-        return self._ra.peer_hits if self._ra is not None else 0
-
     # -- shared-cache ack batching -----------------------------------------
-    def _ack(self, start: int, end: int) -> None:
+    def _ack(self, start: int, end: int, hint_from: int) -> None:
         """Queue a shared-cache-served range for acknowledgement.
 
         Acks from every co-located reader of this stream pool in the
@@ -1825,47 +1449,14 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
             return
         entries = self._shared.ack(self.reader_id, start, end, self.ACK_FLUSH_BYTES)
         if entries:
-            self._send_acks(entries)
+            self._send_consume(entries, force_adv=True, hint_from=hint_from)
 
     def _flush_acks(self) -> None:
         if self._shared is None:
             return
         entries = self._shared.drain_acks()
         if entries:
-            self._send_acks(entries)
-
-    def _send_acks(self, entries: List[Tuple[str, List[List[int]]]]) -> None:
-        adv = None
-        if self._peer_addr is not None and self._shared is not None:
-            # The frame is going out anyway — piggyback whatever holder
-            # advertisement has accumulated, due or not.
-            pending = self._shared.take_adv(force=True)
-            if pending is not None:
-                adv = {
-                    "peer": self._peer_addr,
-                    "gen": self._gen,
-                    "holds": pending[0],
-                    "drops": pending[1],
-                }
-        try:
-            hint = self._client.consume_multi_ex(
-                self.name,
-                entries,
-                adv=adv,
-                peer_hints=(
-                    (self._peer_addr, _HINT_K) if self._peer_addr is not None else None
-                ),
-                hint_from=self._pos,
-            )
-        except (OSError, RpcError):  # fault-ok: a lost ack delays GC, never corrupts
-            pass
-        else:
-            if hint is not None and self._ra is not None:
-                self._ra._store_hint(hint)
-
-    def _maybe_advertise(self) -> None:
-        """Flush a due holder advertisement after a demand-path fetch."""
-        self.flush_advertisements(force=False)
+            self._send_consume(entries, force_adv=True, hint_from=self._pos)
 
     def flush_advertisements(self, force: bool = True) -> None:
         """Send pending holder advertisements to the origin now.
@@ -1875,24 +1466,45 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         traffic) calls this to make its final cached ranges visible to
         peers immediately.
         """
-        if self._peer_addr is None or self._shared is None:
-            return
-        pending = self._shared.take_adv(force=force)
-        if pending is None:
-            return
-        try:
-            self._client.consume_multi(
-                self.name,
-                [],
-                adv={
+        window = self._ra
+        frontier = window.frontier if window is not None else self._pos
+        self._send_consume([], force_adv=force, hint_from=frontier)
+
+    def _send_consume(
+        self, entries: List[Tuple[str, List[List[int]]]], force_adv: bool, hint_from: int
+    ) -> None:
+        """One ``gb.consume_multi`` frame: acks plus any due holder
+        advertisement; the reply refreshes the peer hint.
+
+        ``hint_from`` is the reader's true read frontier: acked ranges
+        trail it, and a hint computed at the acked frontier points at
+        peers that may not hold the leading edge yet.
+        """
+        adv = None
+        if self._peer_addr is not None and self._shared is not None:
+            pending = self._shared.take_adv(force=force_adv)
+            if pending is not None:
+                adv = {
                     "peer": self._peer_addr,
                     "gen": self._gen,
                     "holds": pending[0],
                     "drops": pending[1],
-                },
+                }
+        if not entries and adv is None:
+            return
+        try:
+            hint = self._client.consume_multi_ex(
+                self.name,
+                entries,
+                adv=adv,
+                peer_hints=self._hint_request(),
+                hint_from=hint_from,
             )
-        except (OSError, RpcError):  # fault-ok: a lost advertisement only costs hints
+        except (OSError, RpcError):  # fault-ok: a lost ack delays GC, never corrupts
             pass
+        else:
+            if hint is not None:
+                self._store_hint(hint)
 
     # -- read path ---------------------------------------------------------
     def _read_direct(self, size: int) -> bytes:
@@ -1901,13 +1513,10 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         # through to the origin on any trouble — same rules as the
         # window, so a reader that outruns its prefetch still relieves
         # the origin.
-        if self._ra is not None and self._ra._peer_addr is not None:
-            data = self._ra._fetch_from_peer(self._pos, size)
+        if self._peer_addr is not None:
+            data = self._fetch_from_peer(self._pos, size)
             if data is not None:
-                self._ra.peer_hits += 1
-                self._ra._m_peer_hits.inc()
-                self._ra._m_peer_bytes.inc(len(data))
-                self._ack(self._pos, self._pos + len(data))
+                self._ack(self._pos, self._pos + len(data), hint_from=self._pos)
                 return data
         try:
             return self._origin_direct(size)
@@ -1916,7 +1525,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
             return self._origin_direct(size)
 
     def _origin_direct(self, size: int) -> bytes:
-        if self._ra is not None and self._ra._peer_addr is not None:
+        if self._peer_addr is not None:
             # Ask for hints on demand reads too: the reply both serves
             # these bytes and points the window at peers for the next.
             data, total, hint = self._client.read_window_ex(
@@ -1926,10 +1535,10 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
                 size,
                 timeout=self._timeout,
                 rpc=self._rpc,
-                peer_hints=(self._ra._peer_addr, _HINT_K),
+                peer_hints=self._hint_request(),
             )
             if hint is not None:
-                self._ra._store_hint(hint)
+                self._store_hint(hint)
             if total is not None and self._shared is not None:
                 self._shared.note_eof(total)
             return data
@@ -1980,8 +1589,11 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
                 self._shared = _shared_cache_acquire(self._client.address, self.name, gen)
                 if self._peer_addr is not None:
                     self._shared.peer_addr = self._peer_addr
+            with self._hint_lock:
+                self._hint_peers = []
+                self._hint_start = self._hint_end = 0
             if self._ra is not None:
-                self._ra.rebind(self._shared, gen)
+                self._ra.discard()
             self._gen = gen
 
     def read(self, size: int = -1) -> bytes:  # type: ignore[override]
@@ -2020,7 +1632,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
                 take = min(size, len(data))
                 out += data[:take]
                 self._ra_buf = data[take:]
-                self._ack(self._pos, self._pos + len(data))
+                self._ack(self._pos, self._pos + len(data), hint_from=self._pos)
                 self._pos += take
                 size -= take
                 self.shared_hits += 1
@@ -2058,9 +1670,7 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
             data = self._read_direct(limit)
             if not data and not out:
                 self._at_eof = True
-            if data and self._shared is not None:
-                self._shared.put(self._pos, data)
-                self._maybe_advertise()
+            self._cache_put(self._pos, data, advertise=True)
             out += data
             self._pos += len(data)
         self._schedule_readahead()
@@ -2104,6 +1714,9 @@ class BufferReader(ReadIntoFromRead, io.RawIOBase):
         if self._ra is not None:
             self._ra.close()
             self._ra = None
+        if self._ra_rpc is not None:
+            self._ra_rpc.close()
+            self._ra_rpc = None
         self._flush_acks()
         if self._shared is not None:
             last = _shared_cache_release(self._client.address, self.name, self._gen)

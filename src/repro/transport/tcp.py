@@ -166,7 +166,7 @@ class PoolTimeout(TimeoutError):
 
 
 class ClientClosedError(ConnectionError):
-    """The client was close()d while this call was connecting."""
+    """The client was close()d while this call was connecting or in flight."""
 
 
 class FrameError(ConnectionError):
@@ -520,17 +520,22 @@ class RpcClient:
             except (OSError, FrameError) as exc:
                 if conn is not None:
                     self._discard(conn, gen)
+                with self._cv:
+                    # A generation bump means *our own* close()/close_all()
+                    # killed this socket: the owner wants shutdown, so
+                    # redialing would undo it, and the failure is no
+                    # transport error.  Only external failures count/retry.
+                    closed_locally = gen != -1 and gen != self._gen
+                if closed_locally:
+                    raise ClientClosedError(
+                        f"RPC client to {self._peer} closed during {op}"
+                    ) from exc
                 if isinstance(exc, IntegrityError):
                     # The peer is healthy, the data was corrupted: count
                     # the detection and re-request the frame.
                     ioutil.count_integrity_error("rpc.client", "retry")
                 _CLIENT_ERRORS.labels(op=op, kind=type(exc).__name__).inc()
-                with self._cv:
-                    # A generation bump means *our own* close()/close_all()
-                    # killed this socket: the owner wants shutdown, so
-                    # redialing would undo it.  Only external failures retry.
-                    closed_locally = gen != -1 and gen != self._gen
-                if closed_locally or attempt >= attempts:
+                if attempt >= attempts:
                     raise
                 _CLIENT_RETRIES.labels(op=op).inc()
                 time.sleep(self._retry.backoff(attempt, self._rng))

@@ -13,7 +13,8 @@ import threading
 
 import pytest
 
-from repro.gridbuffer.client import GridBufferClient, _ReadAheadWindow
+from repro.core.remote_io import ReadAheadWindow
+from repro.gridbuffer.client import GridBufferClient, _tiered_chunk
 from repro.gridbuffer.protocol import OP_READ
 from repro.gridbuffer.service import GridBufferError
 from repro.transport.aio import AsyncRpcClient
@@ -125,6 +126,17 @@ class _FakeMonitor:
         pass
 
 
+def _tier_window(monitor):
+    """A window on the Grid Buffer reader's chunk rule over a fake fetch
+    (every request reports EOF at its own offset)."""
+    return ReadAheadWindow(
+        lambda offset, length: (b"", offset),
+        64 * 1024,
+        1,
+        chunk_rule=lambda: _tiered_chunk(monitor, "peer"),
+    )
+
+
 class TestAdaptiveChunk:
     @pytest.mark.parametrize(
         ("bandwidth", "expected"),
@@ -135,33 +147,28 @@ class TestAdaptiveChunk:
             (500 << 20, 1024 * 1024),       # above the top tier
         ],
     )
-    def test_chunk_follows_bandwidth_tier(self, client, bandwidth, expected):
-        client.create_stream("tier", n_readers=1)
-        client.register_reader("tier", "r")
-        client.monitor = _FakeMonitor(bandwidth)
-        window = _ReadAheadWindow(client, "tier", "r", None, 64 * 1024, 1)
+    def test_chunk_follows_bandwidth_tier(self, bandwidth, expected):
+        monitor = _FakeMonitor(bandwidth)
+        window = _tier_window(monitor)
         try:
-            assert window._target_chunk() == expected
+            assert _tiered_chunk(monitor, "peer") == expected
             window.schedule(0)  # idle window: re-tiers before queueing
             assert window._chunk == expected
         finally:
             window.close()
 
-    def test_no_monitor_keeps_configured_chunk(self, client):
-        client.create_stream("fix", n_readers=1)
-        client.register_reader("fix", "r")
-        window = _ReadAheadWindow(client, "fix", "r", None, 64 * 1024, 1)
+    def test_no_monitor_keeps_configured_chunk(self):
+        window = _tier_window(None)
         try:
-            assert window._target_chunk() == 64 * 1024
+            assert _tiered_chunk(None, "peer") is None
+            window.schedule(0)
+            assert window._chunk == 64 * 1024
         finally:
             window.close()
 
-    def test_no_retier_while_requests_outstanding(self, client):
+    def test_no_retier_while_requests_outstanding(self):
         """An in-flight span must never be re-gridded underneath."""
-        client.create_stream("busy", n_readers=1)
-        client.register_reader("busy", "r")
-        client.monitor = _FakeMonitor(500 << 20)
-        window = _ReadAheadWindow(client, "busy", "r", None, 64 * 1024, 1)
+        window = _tier_window(_FakeMonitor(500 << 20))
         try:
             with window._cv:
                 window._inflight[0] = 64 * 1024  # simulate an outstanding request

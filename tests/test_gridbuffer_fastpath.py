@@ -194,6 +194,24 @@ class TestReaderShutdown:
         assert all(not t.is_alive() for t in workers), "window thread leaked"
         assert r._ra is None and r._rpc is None  # connections released
 
+    def test_close_counts_no_rpc_error(self, client):
+        """The owner closing a reader is a shutdown, not a transport failure."""
+
+        def errors() -> float:
+            family = obs.snapshot().get("rpc_client_errors_total") or {"series": []}
+            return sum(s["value"] for s in family["series"])
+
+        client.create_stream("quiet")
+        client.write("quiet", 0, b"q" * 1000)  # writer stays open
+        r = client.open_reader("quiet", read_ahead=True)
+        assert r.read(1000) == b"q" * 1000
+        time.sleep(0.1)  # let the window park a read past the written bytes
+        before = errors()
+        t0 = time.perf_counter()
+        r.close()
+        assert time.perf_counter() - t0 < 1.0
+        assert errors() == before
+
     def test_repeated_open_close_leaks_no_threads(self, client):
         client.create_stream("leak", n_readers=5)
         client.write("leak", 0, b"b" * 4096)

@@ -10,12 +10,49 @@ import threading
 
 import pytest
 
-from repro.core.remote_client import RemoteFileClient
-from repro.core.remote_io import WriteCoalescer
+from repro.core.remote_client import RemoteFileClient, RemoteProxyFile
+from repro.core.remote_io import RunBatcher
 from repro.transport.gridftp import GridFtpClient, GridFtpServer
 
 PATTERN = bytes(i % 256 for i in range(64_000))
 BLOCK = 1024
+
+
+class _GatedStore:
+    """In-memory stand-in for a GridFTP client whose read-ahead fetches
+    snapshot the bytes at once but reply only when ``gate`` opens."""
+
+    def __init__(self, data: bytes):
+        self.data = bytearray(data)
+        self.fetching = threading.Event()
+        self.gate = threading.Event()
+
+    def open_channel(self):
+        return _NullChannel()
+
+    def size(self, path):
+        return len(self.data)
+
+    def read_block(self, path, offset, length):
+        return bytes(self.data[offset : offset + length])
+
+    def read_block_via(self, channel, path, offset, length):
+        snapshot = bytes(self.data[offset : offset + length])
+        self.fetching.set()
+        self.gate.wait(5.0)
+        return snapshot
+
+    def write_block(self, path, offset, data, truncate=False):
+        self.data[offset : offset + len(data)] = data
+        return len(data)
+
+
+class _NullChannel:
+    def close_all(self):
+        pass
+
+    def close(self):
+        pass
 
 
 @pytest.fixture()
@@ -105,6 +142,20 @@ class TestPrefetchCorrectness:
         assert on_disk[target : target + BLOCK] == b"\xaa" * BLOCK
         assert on_disk[:BLOCK] == PATTERN[:BLOCK]
 
+    def test_partial_write_discards_block_in_flight(self):
+        """A write into a block the window is still fetching must not let
+        the fetched (old) copy be served when the block is read back."""
+        store = _GatedStore(PATTERN)
+        f = RemoteProxyFile(store, "/data.bin", writable=True, block_size=BLOCK)
+        f.read(BLOCK)
+        f.read(BLOCK)  # sequential: the window starts fetching block 2
+        assert store.fetching.wait(5.0)
+        f.write(b"\xbb" * 100)  # dirties block 2 under the fetch
+        f.seek(2 * BLOCK)  # same block: the window is not discarded
+        store.gate.set()  # the old copy lands now
+        assert f.read(BLOCK) == b"\xbb" * 100 + PATTERN[2 * BLOCK + 100 : 3 * BLOCK]
+        f.close()
+
     def test_concurrent_readers_share_one_client(self, remote):
         digests = {}
         errors = []
@@ -189,14 +240,15 @@ class TestWriteCoalescing:
 
     def test_coalescer_unit_behaviour(self):
         flushed = []
-        c = WriteCoalescer(lambda off, data: flushed.append((off, bytes(data))), 8)
+        c = RunBatcher(flushed.append, 8)
         c.write(0, b"ab")
         c.write(2, b"cd")
-        assert flushed == []  # still below one block
-        c.write(4, b"efghijkl")  # crosses the block boundary
-        assert flushed == [(0, b"abcdefgh")]
+        assert flushed == []  # still below the batch limit
+        c.write(4, b"efghijkl")  # crosses the limit: the run goes out whole
+        assert flushed == [[(0, b"abcdefghijkl")]]
+        c.write(12, b"mn")
         c.flush()
-        assert flushed == [(0, b"abcdefgh"), (8, b"ijkl")]
+        assert flushed == [[(0, b"abcdefghijkl")], [(12, b"mn")]]
         assert c.writes_coalesced >= 1
 
 
