@@ -808,20 +808,23 @@ class FileMultiplexer:
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        self._watch_stop.set()
-        thread = self._watch_thread
-        if thread is not None:
-            # Best-effort: the watcher is a daemon parked in a bounded
-            # long-poll; it observes the stop flag on its next round.
-            thread.join(timeout=0.2)
-            self._watch_thread = None
-        with self._watch_lock:
-            self._watched.clear()
-        self._buffer_pool.close()
-        with self._lock:
-            for client in self._ftp_clients.values():
-                client.close()
-            self._ftp_clients.clear()
+        # Teardown closes sockets and joins IO threads; its own span
+        # keeps that time attributable when the FM outlives its tasks.
+        with obs.span("fm.close", machine=self.ctx.machine):
+            self._watch_stop.set()
+            thread = self._watch_thread
+            if thread is not None:
+                # Best-effort: the watcher is a daemon parked in a bounded
+                # long-poll; it observes the stop flag on its next round.
+                thread.join(timeout=0.2)
+                self._watch_thread = None
+            with self._watch_lock:
+                self._watched.clear()
+            self._buffer_pool.close()
+            with self._lock:
+                for client in self._ftp_clients.values():
+                    client.close()
+                self._ftp_clients.clear()
 
     def __enter__(self) -> "FileMultiplexer":
         return self

@@ -17,8 +17,8 @@ Buffer client (mode 6) both drive it:
 None of these know about sockets or services: the window is handed a
 ``fetch(offset, length)`` callable and the batcher a ``flush(runs)``
 callable, and each caller plugs its own behaviour in through them (the
-proxy fills its block cache; the Grid Buffer reader tries peers, acks
-a shared cache and stores origin hints).
+proxy fills its block cache; the Grid Buffer reader fills its shared
+stream cache).
 """
 
 from __future__ import annotations
@@ -178,11 +178,8 @@ class ReadAheadWindow:
 
     * ``chunk_rule()`` — request size to use (None keeps the current
       one); consulted only while nothing is queued, in flight or held,
-      so an outstanding span is never partially duplicated under a new
-      grid;
-    * ``span_rule(offset, chunk)`` — width of the request at
-      ``offset`` (default ``chunk``); registered under the window lock,
-      so sibling workers skip the bytes a wide request carries;
+      so an outstanding request is never partially duplicated under a
+      new grid;
     * ``covered(offset)`` — another store already holds ``offset``: the
       window neither requests it nor reports a failed fetch of it;
     * ``cancel()`` — called by :meth:`close` after the workers are told
@@ -201,7 +198,6 @@ class ReadAheadWindow:
         monitor: Optional[Any] = None,
         peer: str = "",
         chunk_rule: Optional[Callable[[], Optional[int]]] = None,
-        span_rule: Optional[Callable[[int, int], int]] = None,
         covered: Optional[Callable[[int], bool]] = None,
         cancel: Optional[Callable[[], None]] = None,
     ):
@@ -211,13 +207,13 @@ class ReadAheadWindow:
         self._monitor = monitor
         self._peer = peer
         self._chunk_rule = chunk_rule
-        self._span_rule = span_rule
         self._covered = covered
         self._cancel = cancel
         self._cv = threading.Condition()
         self._queue: List[int] = []  # wanted offsets, ascending
-        # In-flight requests: offset -> span.  Tracking the width keeps
-        # schedule() from double-requesting bytes a wide request carries.
+        # In-flight requests: offset -> width.  Tracking the width keeps
+        # schedule() from double-requesting bytes a request off the
+        # current frontier's grid already carries.
         self._inflight: Dict[int, int] = {}
         # In-flight offsets dirtied by invalidate(): dropped on landing.
         self._stale: Set[int] = set()
@@ -225,7 +221,6 @@ class ReadAheadWindow:
         self._errors: Dict[int, BaseException] = {}
         self._eof_at: Optional[int] = None
         self._depth = 1
-        self._frontier = 0
         self._stopped = False
         self.wasted = 0
         # Fetches issued by worker threads should parent under whatever
@@ -240,11 +235,6 @@ class ReadAheadWindow:
             t.start()
 
     # -- owner-side API ----------------------------------------------------
-    @property
-    def frontier(self) -> int:
-        """The offset passed to the latest :meth:`schedule`."""
-        return self._frontier
-
     def _target_depth(self) -> int:
         if self._monitor is not None:
             latency = self._monitor.latency(self._peer)
@@ -284,7 +274,6 @@ class ReadAheadWindow:
         with self._cv:
             if self._stopped:
                 return
-            self._frontier = frontier
             idle = not (self._queue or self._inflight or self._results or self._errors)
             if idle and self._chunk_rule is not None:
                 # Idle gap: safe to re-tier the chunk grid — nothing
@@ -413,15 +402,13 @@ class ReadAheadWindow:
                 if self._stopped:
                     return
                 offset = self._queue.pop(0)
-                # A wide request registered after this offset was
-                # queued may already carry it — skip; the consumer
-                # waits on that in-flight span, not this queue entry.
+                # A request registered after this offset was queued
+                # (from another frontier's grid) may already carry it —
+                # skip; the consumer waits on that in-flight request.
                 if self._inflight_covering(offset) or self._result_covering(offset) is not None:
                     self._cv.notify_all()
                     continue
                 span = self._chunk
-                if self._span_rule is not None:
-                    span = max(1, self._span_rule(offset, self._chunk))
                 self._inflight[offset] = span
                 self._cv.notify_all()
             try:
@@ -447,8 +434,8 @@ class ReadAheadWindow:
                 else:
                     self._results[offset] = data
                     if data:
-                        # A wide request may cover offsets queued before
-                        # it landed — drop them, they're served.
+                        # The reply may cover offsets queued before it
+                        # landed — drop them, they're served.
                         end = offset + len(data)
                         self._queue = [o for o in self._queue if not (offset <= o < end)]
                     if total is not None:

@@ -26,7 +26,6 @@ __all__ = [
     "OP_ABORT",
     "OP_RESUME",
     "OP_HIGH_WATER",
-    "OP_PEER_READ",
 ]
 
 #: Typical legacy-application write granularity (paper Section 5.3).
@@ -76,21 +75,3 @@ OP_READ_MULTI = "gb.read_multi"
 #: ack aggregator batches co-located readers so they pay one round trip
 #: and one server-side GC pass per flush instead of one each.
 OP_CONSUME_MULTI = "gb.consume_multi"
-
-# -- cooperative block cache (PR 8) ---------------------------------------
-
-#: Serve a cached run from a *reader process's* shared block cache —
-#: the only Grid Buffer op answered by peers instead of the origin.
-#: Header: ``origin`` ("host:port" of the origin server the cache
-#: mirrors), ``name``, ``gen`` (stream generation), ``offset``,
-#: ``length``.  Reply payload is the available prefix of the requested
-#: range (never blocks, never waits for the writer) plus ``crc``
-#: (masked zlib.crc32 of the payload, :func:`repro.ioutil.crc32`) so
-#: the fetcher can verify integrity before trusting a peer; a range the
-#: cache does not cover is a ``peer-miss`` error.  The serving cache
-#: re-verifies each run against its insert-time checksum before
-#: answering, so a run that rotted in the holder's memory becomes a
-#: miss rather than a poisoned reply (PR 9).  Correctness never depends
-#: on this op: any error, timeout or checksum/length mismatch demotes
-#: the peer and the fetcher re-requests from the origin.
-OP_PEER_READ = "gb.peer_read"

@@ -93,16 +93,6 @@ _READER_LAG_BLOCKS = obs.gauge(
     "Table blocks at/after a reader's contiguous consume frontier",
     labelnames=("stream", "reader"),
 )
-_HOLDERS = obs.gauge(
-    "buffer_holders",
-    "Peers registered as cooperative-cache holders of a stream",
-    labelnames=("stream",),
-)
-_HOLDER_BYTES = obs.gauge(
-    "buffer_holder_bytes",
-    "Total bytes advertised by cooperative-cache holders of a stream",
-    labelnames=("stream",),
-)
 _ASYNC_PARKED = obs.gauge(
     "buffer_async_parked",
     "Coroutine handlers currently parked on a stream future",
@@ -157,13 +147,8 @@ class _Stream:
         #: Stream generation: bumped by the service each time this name
         #: is *freshly* created (it survives drop_stream), so client
         #: caches keyed on it can never serve a previous incarnation's
-        #: bytes and stale holder advertisements are discarded.
+        #: bytes.
         self.gen = gen
-        #: Cooperative-cache holder map: peer "host:port" -> advertised
-        #: ranges.  Populated by consume-piggybacked advertisements,
-        #: trimmed by eviction reports, reset wholesale on re-creation
-        #: (a fresh _Stream starts empty).
-        self.holders: Dict[str, IntervalSet] = {}
         self.blocks: Dict[int, bytes] = {}
         #: Sorted block offsets + the largest block seen: lets reads
         #: locate a covering block by bisection instead of scanning the
@@ -201,8 +186,6 @@ class _Stream:
         self.m_blocks_cached = _BLOCKS_CACHED.labels(stream=name)
         self.m_bytes_cached = _BYTES_CACHED.labels(stream=name)
         self.m_readers = _READERS.labels(stream=name)
-        self.m_holders = _HOLDERS.labels(stream=name)
-        self.m_holder_bytes = _HOLDER_BYTES.labels(stream=name)
 
     def wake_all(self) -> None:
         """Wake every waiter — threaded and async (callers hold ``cond``).
@@ -272,11 +255,6 @@ class _Stream:
         behind = len(self.block_index) - bisect_left(self.block_index, frontier)
         _READER_LAG_BLOCKS.labels(stream=self.name, reader=reader_id).set(behind)
 
-    def sync_holder_gauges(self) -> None:
-        """Push holder-map occupancy into the registry (callers hold ``cond``)."""
-        self.m_holders.set(len(self.holders))
-        self.m_holder_bytes.set(sum(ivs.total() for ivs in self.holders.values()))
-
 
 def _resolve_waiters(futs: List["asyncio.Future"]) -> None:
     for fut in futs:
@@ -331,10 +309,6 @@ class _AssemblyPlan:
 #: create/drop, never with every other stream's hot path.
 _N_SHARDS = 16
 
-#: Holder-map size cap per stream: hints are best-effort, so beyond
-#: this many advertising peers new ones are simply not tracked.
-_MAX_HOLDERS = 64
-
 
 class GridBufferService:
     """In-process Grid Buffer holding any number of named streams."""
@@ -346,14 +320,10 @@ class GridBufferService:
         # Per-name generation counters.  Deliberately NOT per-stream
         # state: they must survive drop_stream so a re-created stream
         # gets a *new* generation — that is what invalidates client-side
-        # shared caches and stale holder advertisements after a writer
-        # crash.  Own lock: names on different shards share this dict.
+        # shared caches after a writer crash.  Own lock: names on
+        # different shards share this dict.
         self._gen_lock = threading.Lock()
         self._generations: Dict[str, int] = {}
-        # Rotates the starting holder for cached_at hints so a popular
-        # range is spread across its holders instead of every reader
-        # being pointed at whichever peer advertised first.
-        self._hint_rr = 0
 
     def _shard(self, name: str) -> Tuple[threading.Lock, Dict[str, _Stream]]:
         i = zlib.crc32(name.encode("utf-8", "surrogatepass")) % _N_SHARDS
@@ -996,103 +966,6 @@ class GridBufferService:
             self._gc_blocks(st, touched)
             st.sync_table_gauges()
             st.wake_writers()
-
-    # -- cooperative cache holder map ----------------------------------------
-    def note_holder(
-        self,
-        name: str,
-        peer: str,
-        holds: Optional[Iterable[Sequence[int]]] = None,
-        drops: Optional[Iterable[Sequence[int]]] = None,
-        gen: Optional[int] = None,
-    ) -> None:
-        """Apply a piggybacked holder advertisement from ``peer``.
-
-        ``holds`` are ranges the peer's shared cache newly holds,
-        ``drops`` ranges it evicted.  An advertisement carrying a stale
-        generation (from a previous incarnation of the stream) is
-        discarded, as is one racing the stream's drop — holder state is
-        a hint, losing it only costs origin reads, never correctness.
-        """
-        try:
-            st = self._stream(name)
-        except GridBufferError:
-            return
-        with st.cond:
-            if gen is not None and int(gen) != st.gen:
-                return
-            ivs = st.holders.get(peer)
-            if ivs is None:
-                if len(st.holders) >= _MAX_HOLDERS:
-                    return  # hint map full: forget late joiners, not correctness
-                ivs = st.holders[peer] = IntervalSet()
-            for start, end in holds or ():
-                start, end = max(0, int(start)), int(end)
-                if end > start:
-                    ivs.add(start, end)
-            for start, end in drops or ():
-                start, end = max(0, int(start)), int(end)
-                if end > start:
-                    _remove_interval(ivs, start, end)
-            if not ivs:
-                st.holders.pop(peer, None)
-            st.sync_holder_gauges()
-
-    def drop_holder(self, name: str, peer: str) -> None:
-        """Forget every range advertised by ``peer`` (reader shutdown)."""
-        try:
-            st = self._stream(name)
-        except GridBufferError:
-            return
-        with st.cond:
-            st.holders.pop(peer, None)
-            st.sync_holder_gauges()
-
-    def holders_for(
-        self,
-        name: str,
-        start: int,
-        end: int,
-        k: int = 3,
-        exclude: Optional[str] = None,
-    ) -> List[str]:
-        """Up to ``k`` peers advertising bytes in [start, end).
-
-        Backs the ``cached_at`` hint in read and consume-ack replies.
-        Peers covering ``start`` — the byte the reader needs *next* —
-        rank first; overlap-only holders (a laggard still needs what a
-        mid-stream peer holds) fill the remaining slots.  Without the
-        covering-first split, a wide hint window points every reader at
-        peers that hold some earlier range but miss on the frontier.
-        """
-        if end <= start or k <= 0:
-            return []
-        try:
-            st = self._stream(name)
-        except GridBufferError:
-            return []
-        covering: List[str] = []
-        touching: List[str] = []
-        with st.cond:
-            candidates = [p for p in st.holders if p != exclude]
-            if candidates:
-                # Holder dicts are insertion-ordered, so without
-                # rotation every hint would lead with the first
-                # advertiser and k-truncation would hide the rest.
-                self._hint_rr += 1
-                rot = self._hint_rr % len(candidates)
-                candidates = candidates[rot:] + candidates[:rot]
-            for peer in candidates:
-                for s, e in st.holders[peer].intervals():
-                    if s <= start < e:
-                        covering.append(peer)
-                        break
-                    if s < end and e > start:
-                        touching.append(peer)
-                        break
-                if len(covering) >= k:
-                    break
-        return (covering + touching)[:k]
 
     # -- internals -----------------------------------------------------------
     def _check_recoverable(self, st: _Stream, start: int, end: int) -> None:

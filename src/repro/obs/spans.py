@@ -19,6 +19,13 @@ Design points:
   :class:`MemorySink` collects in-memory for tests.  With no sink
   configured, spans still nest (context is maintained) but nothing is
   written and per-IO :meth:`Tracer.event` calls are no-ops.
+* **deferred nested writes** — a span that closes inside another span
+  still open on the same thread is written when that outermost span
+  closes, after its end is stamped.  A sink write is file IO that
+  yields the GIL; between two sibling spans it would fall in no span,
+  and under GIL contention getting the lock back costs up to a whole
+  switch interval (5 ms) that the critical-path sweep cannot
+  attribute.
 """
 
 from __future__ import annotations
@@ -232,6 +239,12 @@ class Tracer:
             stack = self._tls.stack = []
         return stack
 
+    def _held(self) -> List[Span]:
+        held = getattr(self._tls, "held", None)
+        if held is None:
+            held = self._tls.held = []
+        return held
+
     def current_context(self) -> Optional[SpanContext]:
         """The innermost active span context on this thread (if any)."""
         stack = self._stack()
@@ -288,7 +301,12 @@ class Tracer:
             span.end = self._clock()
             stack.pop()
             if self.sink is not None:
-                self._emit(span)
+                held = self._held()
+                held.append(span)
+                if not stack or stack[-1].virtual:
+                    self._tls.held = []
+                    for done in held:
+                        self._emit(done)
 
     # -- stack-free spans ------------------------------------------------------
     def start_span(

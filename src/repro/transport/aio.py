@@ -40,7 +40,7 @@ import socket
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Deque, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from .. import faults, ioutil, obs
 from ..obs import ops as obs_ops
@@ -381,21 +381,9 @@ class AsyncRpcServer:
         host: str = "127.0.0.1",
         port: int = 0,
         simulated_latency: float = 0.0,
-        max_inflight: Optional[int] = None,
-        inflight_ops: Optional[Iterable[str]] = None,
     ):
         self._handlers: Dict[str, Tuple[str, Handler]] = {}
         self.simulated_latency = max(0.0, simulated_latency)
-        # Optional server-wide concurrency cap: with N requests already
-        # executing, the N+1th parks on the semaphore.  Benchmarks use
-        # it (with simulated_latency) to model a *constrained* origin
-        # link whose service time scales with total offered load —
-        # per-request latency alone cannot, because requests sleep
-        # concurrently.  ``inflight_ops`` narrows the cap to the listed
-        # ops (the bulk-transfer data plane); control messages then
-        # still pay the latency but never occupy a transfer slot.
-        self._sem = asyncio.Semaphore(max_inflight) if max_inflight else None
-        self._inflight_ops = frozenset(inflight_ops) if inflight_ops is not None else None
         self._engine = get_engine()
         obs_ops.install(self)
         self._writers: Set[asyncio.StreamWriter] = set()
@@ -527,22 +515,6 @@ class AsyncRpcServer:
         corrupter=None,
     ) -> Tuple[Dict[str, Any], bytes, Any]:
         """Execute one handler and package its reply for the reply pump."""
-        if self._sem is not None and (
-            self._inflight_ops is None or op in self._inflight_ops
-        ):
-            async with self._sem:
-                return await self._run_one_admitted(op, entry, header, payload, rctx, corrupter)
-        return await self._run_one_admitted(op, entry, header, payload, rctx, corrupter)
-
-    async def _run_one_admitted(
-        self,
-        op: str,
-        entry: Optional[Tuple[str, Callable]],
-        header: Dict[str, Any],
-        payload: bytes,
-        rctx: Optional[obs.SpanContext] = None,
-        corrupter=None,
-    ) -> Tuple[Dict[str, Any], bytes, Any]:
         if self.simulated_latency:
             await asyncio.sleep(2.0 * self.simulated_latency)
         tracer = obs.get_tracer()
@@ -699,7 +671,6 @@ class AsyncRpcServer:
                 if (
                     not order
                     and not self.simulated_latency
-                    and self._sem is None
                     and entry is not None
                     and entry[0] == "inline"
                 ):

@@ -151,9 +151,6 @@ OPS: Tuple[str, ...] = (
     # GNS
     "gns.resolve", "gns.add", "gns.remove", "gns.list",
     "gns.announce", "gns.pin",
-    # Cooperative block cache (PR 8): served by reader processes, not
-    # the origin service.
-    "gb.peer_read",
     # GNS control plane (PR 10): atomic multi-record transactions and
     # long-poll change subscriptions.
     "gns.txn", "gns.watch",
@@ -171,17 +168,9 @@ KEYS: Tuple[str, ...] = (
     "streams", "block_size", "entries", "reason", "deleted", "sha256",
     "size", "bytes", "machine", "record", "records", "payload_len",
     TRACE_KEY,
-    # Cooperative block cache (PR 8).  ``gen`` is the stream generation,
-    # ``peer`` a holder's "host:port" peer-server address, ``holds``/
-    # ``drops`` advertised/evicted ranges piggybacked on consume acks,
-    # ``peer_hints`` the hint fan-out K requested by a reader,
-    # ``cached_at`` the server's holder hint in read replies, ``origin``
-    # the origin server a peer-read is scoped to, ``crc`` the peer
-    # reply's payload checksum, ``hint_from`` the reader's true read
-    # frontier (hints on the ack channel would otherwise be computed at
-    # the acked frontier, which trails it).
-    "gen", "peer", "holds", "drops", "peer_hints", "cached_at",
-    "origin", "crc", "hint_from",
+    # ``gen`` is the stream generation a gb.register_reader reply
+    # carries (clients key their shared block cache on it).
+    "gen",
     # GNS control plane (PR 10).  ``ns`` scopes an op to a namespace,
     # ``auth`` carries its bearer token, ``revision``/``from_revision``
     # frame the change log, ``events`` is a watch reply's change batch,

@@ -293,3 +293,17 @@ class TestStatsAndDispatch:
         fm = FileMultiplexer(GridContext(machine="alpha", gns=gns, hosts=hosts))
         with pytest.raises(FMError, match="no GridFTP locator"):
             fm.open("/r/x", "r")
+
+
+class TestTeardownSpan:
+    def test_close_emits_fm_close_span(self, gns, hosts):
+        from repro import obs
+
+        sink = obs.MemorySink()
+        prior = obs.configure(sink)
+        try:
+            FileMultiplexer(GridContext(machine="alpha", gns=gns, hosts=hosts)).close()
+        finally:
+            obs.configure(prior)
+        [span] = sink.spans("fm.close")
+        assert span["attrs"]["machine"] == "alpha"

@@ -4,8 +4,10 @@ Covers the Grid Buffer fast path end to end over real TCP: vectored
 ``write_multi``/``read_multi``/``consume_multi`` round trips,
 multi-reader broadcast under
 interleaved seeks and re-reads (asserting delete-on-read GC and the
-per-reader lag gauges stay exact), writer flush-deadline visibility,
-reader shutdown hygiene, and the per-call open-poll env knob.
+per-reader lag gauges stay exact), the generation-keyed shared-cache
+registry, the block-granular reader lag gauge, writer flush-deadline
+visibility, reader shutdown hygiene, and the per-call open-poll env
+knob.
 """
 
 import hashlib
@@ -15,7 +17,12 @@ import time
 import pytest
 
 from repro import obs
-from repro.gridbuffer.client import GridBufferClient, _open_poll_interval
+from repro.gridbuffer.client import (
+    GridBufferClient,
+    _open_poll_interval,
+    _shared_cache_acquire,
+    _shared_cache_release,
+)
 from repro.gridbuffer.protocol import OP_WRITE_MULTI
 
 PAYLOAD = bytes((i * 7 + i // 256) % 256 for i in range(128 * 1024))
@@ -152,6 +159,53 @@ class TestBroadcastStress:
         ours = [s for s in lag["series"] if s["labels"].get("stream") == name]
         assert len(ours) == self.N_READERS
         assert all(s["value"] == 0 for s in ours), ours
+
+
+class TestGenerationKeyedCache:
+    """The shared-cache registry key includes the stream generation."""
+
+    ADDR = ("127.0.0.1", 1)  # never dialled: registry-only tests
+
+    def test_generations_get_distinct_caches(self):
+        a = _shared_cache_acquire(self.ADDR, "gen-key", 0)
+        b = _shared_cache_acquire(self.ADDR, "gen-key", 1)
+        try:
+            assert a is not b
+            assert (a.gen, b.gen) == (0, 1)
+            assert _shared_cache_acquire(self.ADDR, "gen-key", 1) is b
+        finally:
+            _shared_cache_release(self.ADDR, "gen-key", 0)
+            _shared_cache_release(self.ADDR, "gen-key", 1)
+            assert _shared_cache_release(self.ADDR, "gen-key", 1) is True
+
+    def test_recreated_stream_never_serves_stale_bytes(self):
+        """Bytes cached under generation N are invisible to N+1."""
+        old = _shared_cache_acquire(self.ADDR, "gen-stale", 0)
+        try:
+            old.put(0, b"stale" * 100)
+            fresh = _shared_cache_acquire(self.ADDR, "gen-stale", 1)
+            try:
+                assert fresh.get(0) is None
+                assert old.get(0) == b"stale" * 100
+            finally:
+                _shared_cache_release(self.ADDR, "gen-stale", 1)
+        finally:
+            _shared_cache_release(self.ADDR, "gen-stale", 0)
+
+
+class TestReaderLagBlocks:
+    """Block-granular lag gauge per reader."""
+
+    def test_gauge_tracks_consume_frontier(self, client):
+        client.create_stream("lag", n_readers=1)
+        client.register_reader("lag", "r")
+        for i in range(3):
+            client.write("lag", i * 4096, b"l" * 4096)
+        labels = {"stream": "lag", "reader": "r"}
+        assert client.consume_multi("lag", [("r", [(0, 4096)])]) is True
+        assert obs.value("buffer_reader_lag_blocks", labels) == 2
+        assert client.consume_multi("lag", [("r", [(4096, 12288)])]) is True
+        assert obs.value("buffer_reader_lag_blocks", labels) == 0
 
 
 class TestWriterFlushDeadline:

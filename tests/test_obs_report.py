@@ -304,6 +304,18 @@ class TestCriticalPath:
         assert cats["transport"] == pytest.approx(2.0)
         assert cats["buffer-wait"] == 0.0
 
+    def test_fm_teardown_is_transport(self):
+        from repro.obs.report import critical_path
+
+        records = [
+            _pspan("d", "workflow", "wf", None, 0.0, 4.0),
+            _pspan("d", "task", "t1", "wf", 0.0, 3.0, task="stage"),
+            _pspan("d", "fm.close", "c1", "wf", 3.0, 4.0),
+        ]
+        result = critical_path(records)
+        assert result["categories"]["transport"] == pytest.approx(1.0)
+        assert result["coverage"] == pytest.approx(1.0)
+
     def test_spans_clip_to_workflow_window(self):
         from repro.obs.report import critical_path
 

@@ -32,6 +32,32 @@ class TestNesting:
         assert a["parent"] == root["span"]
         assert b["parent"] == root["span"]
 
+    def test_nested_writes_wait_for_the_outermost_span(self):
+        """No sink write lands between two sibling spans: nested records
+        go out when the outermost local span closes, in finish order."""
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        with tracer.span("root"):
+            with tracer.span("a"):
+                with tracer.span("a1"):
+                    pass
+                assert sink.records == []
+            assert sink.records == []
+            with tracer.span("b"):
+                pass
+            assert sink.records == []
+        assert [r["name"] for r in sink.records] == ["a1", "a", "b", "root"]
+
+    def test_span_under_attached_parent_writes_at_once(self):
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        with tracer.span("workflow"):
+            ctx = tracer.current_context()
+        with tracer.attach(ctx):
+            with tracer.span("task"):
+                pass
+            assert [r["name"] for r in sink.records] == ["workflow", "task"]
+
     def test_independent_roots_get_distinct_traces(self):
         sink = MemorySink()
         tracer = Tracer(sink)
